@@ -13,10 +13,13 @@
 #ifndef DYNEX_BENCH_HIERARCHY_SWEEP_H
 #define DYNEX_BENCH_HIERARCHY_SWEEP_H
 
+#include <array>
+#include <iterator>
 #include <vector>
 
 #include "bench_common.h"
 #include "cache/hierarchy.h"
+#include "sim/parallel.h"
 
 namespace dynex::bench
 {
@@ -48,40 +51,86 @@ paperL2Ratios()
     return {1, 2, 4, 8, 16, 32, 64};
 }
 
-/** Run the full sweep (suite-averaged) at the canonical 32KB L1. */
+/** One column of the grid: the L1 kind and where its hit-last bits
+ * live. */
+struct HierarchyLeg
+{
+    bool dynexL1;
+    HitLastPolicy policy;
+};
+
+/** The grid's five configurations, in HierarchyRow's field order. */
+inline constexpr HierarchyLeg kHierarchyLegs[] = {
+    {false, HitLastPolicy::Ideal}, // conventional direct-mapped L1
+    {true, HitLastPolicy::AssumeHit},
+    {true, HitLastPolicy::AssumeMiss},
+    {true, HitLastPolicy::Hashed},
+    {true, HitLastPolicy::Ideal},
+};
+
+inline constexpr std::size_t kNumHierarchyLegs = std::size(kHierarchyLegs);
+
+/** The hierarchy of @p leg with an L2 @p ratio times the 32KB L1. */
+inline HierarchyConfig
+hierarchyConfig(std::uint64_t ratio, const HierarchyLeg &leg)
+{
+    HierarchyConfig config;
+    config.l1 = CacheGeometry::directMapped(kCacheBytes, kWordLine);
+    config.l2 = CacheGeometry::directMapped(kCacheBytes * ratio, kWordLine);
+    config.l1DynamicExclusion = leg.dynexL1;
+    config.policy = leg.policy;
+    config.hashedEntriesPerLine = static_cast<std::uint32_t>(ratio);
+    return config;
+}
+
+/**
+ * Run the full sweep (suite-averaged) at the canonical 32KB L1.
+ *
+ * Benchmark-major: each benchmark's instruction stream is loaded once
+ * and its ratios x legs fan out across the pool into pre-sized slots,
+ * so at most two streams (this one and the next) are live. The
+ * averages are then summed serially in ratio-then-benchmark order, so
+ * every row is bit-identical at any worker count.
+ */
 inline std::vector<HierarchyRow>
 hierarchySweep()
 {
     const auto names = suiteNames();
     const Count budget = refs();
+    const auto ratios = paperL2Ratios();
+
+    // stats[b][r][k]: benchmark b, ratio r, leg k.
+    using LegStats = std::array<HierarchyStats, kNumHierarchyLegs>;
+    std::vector<std::vector<LegStats>> stats(
+        names.size(), std::vector<LegStats>(ratios.size()));
+    const std::size_t legs = ratios.size() * kNumHierarchyLegs;
+    auto trace = Workloads::instructions(names.front(), budget);
+    for (std::size_t b = 0; b < names.size(); ++b) {
+        // Task 0 generates the next benchmark's stream while the other
+        // workers replay this one's legs.
+        std::shared_ptr<const Trace> next;
+        simParallelFor(1 + legs, [&](std::size_t i) {
+            if (i == 0) {
+                if (b + 1 < names.size())
+                    next = Workloads::instructions(names[b + 1], budget);
+                return;
+            }
+            const std::size_t r = (i - 1) / kNumHierarchyLegs;
+            const std::size_t k = (i - 1) % kNumHierarchyLegs;
+            TwoLevelCache hierarchy(
+                hierarchyConfig(ratios[r], kHierarchyLegs[k]));
+            stats[b][r][k] = runTrace(hierarchy, *trace);
+        });
+        trace = std::move(next);
+    }
+
     std::vector<HierarchyRow> rows;
-
-    for (const std::uint64_t ratio : paperL2Ratios()) {
+    for (std::size_t r = 0; r < ratios.size(); ++r) {
         HierarchyRow row;
-        row.ratio = ratio;
+        row.ratio = ratios[r];
 
-        for (const auto &name : names) {
-            const auto trace = Workloads::instructions(name, budget);
-
-            auto run = [&](bool dynex_l1, HitLastPolicy policy) {
-                HierarchyConfig config;
-                config.l1 =
-                    CacheGeometry::directMapped(kCacheBytes, kWordLine);
-                config.l2 = CacheGeometry::directMapped(
-                    kCacheBytes * ratio, kWordLine);
-                config.l1DynamicExclusion = dynex_l1;
-                config.policy = policy;
-                config.hashedEntriesPerLine =
-                    static_cast<std::uint32_t>(ratio);
-                TwoLevelCache hierarchy(config);
-                return runTrace(hierarchy, *trace);
-            };
-
-            const auto dm = run(false, HitLastPolicy::Ideal);
-            const auto hit = run(true, HitLastPolicy::AssumeHit);
-            const auto miss = run(true, HitLastPolicy::AssumeMiss);
-            const auto hashed = run(true, HitLastPolicy::Hashed);
-            const auto ideal = run(true, HitLastPolicy::Ideal);
+        for (std::size_t b = 0; b < names.size(); ++b) {
+            const auto &[dm, hit, miss, hashed, ideal] = stats[b][r];
 
             row.l1Dm += 100.0 * dm.l1.missRate();
             row.l1AssumeHit += 100.0 * hit.l1.missRate();

@@ -23,6 +23,7 @@
 #include "trace/next_use.h"
 #include "trace/trace_io.h"
 #include "tracegen/spec.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -290,12 +291,16 @@ encodedSharedTrace(TraceFormat format)
 {
     static const std::string dxt2 = [] {
         std::ostringstream out;
-        writeTrace(sharedTrace(), out, TraceFormat::Dxt2);
+        const Status written =
+            writeTrace(sharedTrace(), out, TraceFormat::Dxt2);
+        DYNEX_ASSERT(written.ok(), written.toString());
         return out.str();
     }();
     static const std::string dxt3 = [] {
         std::ostringstream out;
-        writeTrace(sharedTrace(), out, TraceFormat::Dxt3);
+        const Status written =
+            writeTrace(sharedTrace(), out, TraceFormat::Dxt3);
+        DYNEX_ASSERT(written.ok(), written.toString());
         return out.str();
     }();
     return format == TraceFormat::Dxt3 ? dxt3 : dxt2;

@@ -34,7 +34,7 @@ TwoLevelCache::TwoLevelCache(const HierarchyConfig &config) : cfg(config)
     DYNEX_ASSERT(cfg.stickyMax >= 1, "stickyMax must be at least 1");
 
     l1Lines.resize(cfg.l1.numLines());
-    l2Lines.resize(cfg.l2.numLines());
+    l2Lines = ZeroPageArray<L2Line>(cfg.l2.numLines());
 
     switch (cfg.policy) {
       case HitLastPolicy::Ideal:

@@ -29,6 +29,7 @@
 #include "cache/cache.h"
 #include "cache/exclusion_fsm.h"
 #include "cache/hit_last.h"
+#include "util/zero_pages.h"
 
 namespace dynex
 {
@@ -104,6 +105,9 @@ struct HierarchyStats
         return l1.accesses ? static_cast<double>(l2.misses) / l1.accesses
                            : 0.0;
     }
+
+    friend bool operator==(const HierarchyStats &,
+                           const HierarchyStats &) = default;
 };
 
 /**
@@ -135,6 +139,7 @@ class TwoLevelCache
     bool l2Contains(Addr addr) const;
 
   private:
+    /** All-zero bytes when value-initialized, as ZeroPageArray needs. */
     struct L2Line
     {
         Addr tag = 0;
@@ -156,7 +161,13 @@ class TwoLevelCache
 
     HierarchyConfig cfg;
     std::vector<ExclusionLine> l1Lines;
-    std::vector<L2Line> l2Lines;
+    /**
+     * On anonymous zero pages: at large L2/L1 ratios the array runs to
+     * megabytes, and resident memory should follow the sets a trace
+     * touches. Sanitizers do not guard mapped pages, so bounds rest on
+     * every index being masked, block & (numSets - 1).
+     */
+    ZeroPageArray<L2Line> l2Lines;
     std::unique_ptr<HitLastStore> sideStore; ///< Ideal/Hashed policies
     std::unique_ptr<HitLastStore> l2HitLast; ///< l2DynamicExclusion
     HierarchyStats statsData;

@@ -56,6 +56,8 @@ struct CacheStats
     /** Component-wise sum. */
     CacheStats &operator+=(const CacheStats &other);
 
+    friend bool operator==(const CacheStats &, const CacheStats &) = default;
+
     /** One-line rendering for logs and examples. */
     std::string toString() const;
 };

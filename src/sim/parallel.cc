@@ -32,18 +32,8 @@ loadStream(const std::string &name, Count refs, StreamKind stream)
     const std::uint64_t metrics_t0 = metrics ? obs::monotonicNs() : 0;
     const std::uint64_t tracer_t0 = tracer ? tracer->nowNs() : 0;
 
-    std::shared_ptr<const Trace> trace;
-    switch (stream) {
-      case StreamKind::Data:
-        trace = Workloads::data(name, refs);
-        break;
-      case StreamKind::Mixed:
-        trace = Workloads::mixed(name, refs);
-        break;
-      case StreamKind::Instructions:
-        trace = Workloads::instructions(name, refs);
-        break;
-    }
+    const std::shared_ptr<const Trace> trace =
+        Workloads::stream(name, refs, stream);
 
     if (metrics) {
         metrics->add(obs::Counter::TraceLoadNs,

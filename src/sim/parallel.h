@@ -59,14 +59,6 @@ struct SuiteSweepOutcome
     bool allOk() const { return failures.empty(); }
 };
 
-/** Which reference stream of a suite benchmark to replay. */
-enum class StreamKind
-{
-    Instructions,
-    Data,
-    Mixed,
-};
-
 /** Load the requested stream of @p name via Workloads. */
 std::shared_ptr<const Trace> loadStream(const std::string &name,
                                         Count refs, StreamKind stream);

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <utility>
 
-#include "trace/filter.h"
 #include "tracegen/spec.h"
 #include "util/logging.h"
 
@@ -64,27 +63,6 @@ memoInsert(std::string key, std::shared_ptr<const Trace> trace)
         memo().pop_back();
 }
 
-/**
- * Keep only references of one kind, then truncate to @p refs; widen
- * the generation budget until enough survive (generation is
- * deterministic, so widening only extends the stream).
- */
-std::shared_ptr<const Trace>
-filtered(const std::string &name, Count refs, bool want_data)
-{
-    Count budget = refs * 2;
-    for (int attempt = 0; attempt < 8; ++attempt) {
-        const auto base = Workloads::mixed(name, budget);
-        Trace subset = want_data ? dataRefs(*base) : instructionRefs(*base);
-        if (subset.size() >= refs) {
-            return std::make_shared<const Trace>(truncate(subset, refs));
-        }
-        budget *= 2;
-    }
-    DYNEX_FATAL("benchmark '", name, "' produced too few ",
-                want_data ? "data" : "instruction", " references");
-}
-
 } // namespace
 
 Count
@@ -100,39 +78,34 @@ Workloads::defaultRefs()
 }
 
 std::shared_ptr<const Trace>
-Workloads::mixed(const std::string &name, Count refs)
+Workloads::stream(const std::string &name, Count refs, StreamKind kind)
 {
-    const std::string key =
-        "mixed:" + name + ":" + std::to_string(refs);
+    const std::string key = std::string(streamKindName(kind)) + ":" +
+                            name + ":" + std::to_string(refs);
     if (auto hit = memoLookup(key))
         return hit;
     auto trace =
-        std::make_shared<const Trace>(makeSpecTrace(name, refs));
+        std::make_shared<const Trace>(makeSpecTrace(name, refs, kind));
     memoInsert(key, trace);
     return trace;
+}
+
+std::shared_ptr<const Trace>
+Workloads::mixed(const std::string &name, Count refs)
+{
+    return stream(name, refs, StreamKind::Mixed);
 }
 
 std::shared_ptr<const Trace>
 Workloads::instructions(const std::string &name, Count refs)
 {
-    const std::string key =
-        "ifetch:" + name + ":" + std::to_string(refs);
-    if (auto hit = memoLookup(key))
-        return hit;
-    auto trace = filtered(name, refs, /*want_data=*/false);
-    memoInsert(key, trace);
-    return trace;
+    return stream(name, refs, StreamKind::Instructions);
 }
 
 std::shared_ptr<const Trace>
 Workloads::data(const std::string &name, Count refs)
 {
-    const std::string key = "data:" + name + ":" + std::to_string(refs);
-    if (auto hit = memoLookup(key))
-        return hit;
-    auto trace = filtered(name, refs, /*want_data=*/true);
-    memoInsert(key, trace);
-    return trace;
+    return stream(name, refs, StreamKind::Data);
 }
 
 void

@@ -1,8 +1,14 @@
 /**
  * @file
  * Workload access for experiments: generates suite traces on demand,
- * splits reference streams, and memoizes the most recent traces so
- * sweeps over one benchmark do not regenerate it per configuration.
+ * one reference stream at a time, and memoizes the most recent few.
+ *
+ * The memo only saves regeneration when a caller revisits a stream
+ * before three others push it out. A loop that visits every benchmark
+ * once per configuration (configuration-outer, benchmark-inner, as the
+ * hierarchy grid once did) regenerates every trace per configuration;
+ * load each benchmark's stream once and fan its configurations out
+ * instead.
  */
 
 #ifndef DYNEX_SIM_WORKLOADS_H
@@ -30,6 +36,16 @@ class Workloads
     /** The default per-benchmark reference budget (DYNEX_REFS or the
      * built-in default). */
     static Count defaultRefs();
+
+    /**
+     * The first @p refs references of the benchmark's @p kind stream.
+     * Filtered streams are generated directly (one walk of the
+     * program, appending only the wanted kind), never by filtering a
+     * longer mixed trace.
+     */
+    static std::shared_ptr<const Trace> stream(const std::string &name,
+                                               Count refs,
+                                               StreamKind kind);
 
     /** The benchmark's mixed instruction+data stream, @p refs long. */
     static std::shared_ptr<const Trace> mixed(const std::string &name,

@@ -10,11 +10,11 @@ namespace
 {
 
 Trace
-filterByPredicate(const Trace &trace, const char *suffix, bool want_data)
+filterByPredicate(const Trace &trace, StreamKind stream)
 {
-    Trace out(trace.name() + suffix);
+    Trace out(trace.name() + streamSuffix(stream));
     for (const auto &ref : trace) {
-        if (isData(ref.type) == want_data)
+        if (inStream(stream, ref.type))
             out.append(ref);
     }
     return out;
@@ -25,13 +25,13 @@ filterByPredicate(const Trace &trace, const char *suffix, bool want_data)
 Trace
 instructionRefs(const Trace &trace)
 {
-    return filterByPredicate(trace, ".ifetch", false);
+    return filterByPredicate(trace, StreamKind::Instructions);
 }
 
 Trace
 dataRefs(const Trace &trace)
 {
-    return filterByPredicate(trace, ".data", true);
+    return filterByPredicate(trace, StreamKind::Data);
 }
 
 Trace

@@ -32,6 +32,36 @@ isData(RefType type)
     return type != RefType::Ifetch;
 }
 
+/** Which reference stream of a program to keep. */
+enum class StreamKind
+{
+    Instructions, ///< instruction fetches only
+    Data,         ///< loads and stores only
+    Mixed,        ///< every reference, in program order
+};
+
+/** @return true iff references of @p type belong to @p stream. */
+constexpr bool
+inStream(StreamKind stream, RefType type)
+{
+    switch (stream) {
+      case StreamKind::Instructions:
+        return !isData(type);
+      case StreamKind::Data:
+        return isData(type);
+      case StreamKind::Mixed:
+        return true;
+    }
+    return true;
+}
+
+/** @return the trace-name suffix of a filtered stream: ".ifetch",
+ * ".data", or "" for the mixed stream. */
+const char *streamSuffix(StreamKind stream);
+
+/** @return "instruction", "data", or "mixed". */
+const char *streamKindName(StreamKind stream);
+
 /**
  * One memory reference. 16 bytes; traces of tens of millions of
  * references are routinely held in memory.

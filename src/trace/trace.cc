@@ -22,6 +22,34 @@ refTypeName(RefType type)
     return "unknown";
 }
 
+const char *
+streamSuffix(StreamKind stream)
+{
+    switch (stream) {
+      case StreamKind::Instructions:
+        return ".ifetch";
+      case StreamKind::Data:
+        return ".data";
+      case StreamKind::Mixed:
+        return "";
+    }
+    return "";
+}
+
+const char *
+streamKindName(StreamKind stream)
+{
+    switch (stream) {
+      case StreamKind::Instructions:
+        return "instruction";
+      case StreamKind::Data:
+        return "data";
+      case StreamKind::Mixed:
+        return "mixed";
+    }
+    return "unknown";
+}
+
 std::string
 toString(const MemRef &ref)
 {

@@ -6,8 +6,11 @@ namespace dynex
 {
 
 ExecContext::ExecContext(Trace &output, Count budget, std::uint64_t seed,
-                         std::uint32_t max_call_depth)
-    : out(&output), budgetRefs(budget), randomStream(seed),
+                         StreamKind stream, std::uint32_t max_call_depth)
+    : out(&output), stopAt(budget),
+      skipCap((kFilteredWalkFactor - 1) * budget),
+      keepInstr(inStream(stream, RefType::Ifetch)),
+      keepData(inStream(stream, RefType::Load)), randomStream(seed),
       maxCallDepth(max_call_depth)
 {
 }
@@ -17,8 +20,12 @@ ExecContext::emitInstr(Addr addr)
 {
     if (done())
         return;
-    out->append(ifetch(addr));
-    ++emitted;
+    if (keepInstr) {
+        out->append(ifetch(addr));
+        ++emitted;
+    } else {
+        skip();
+    }
 }
 
 void
@@ -26,8 +33,12 @@ ExecContext::emitLoad(Addr addr)
 {
     if (done())
         return;
-    out->append(load(addr));
-    ++emitted;
+    if (keepData) {
+        out->append(load(addr));
+        ++emitted;
+    } else {
+        skip();
+    }
 }
 
 void
@@ -35,8 +46,23 @@ ExecContext::emitStore(Addr addr)
 {
     if (done())
         return;
-    out->append(store(addr));
-    ++emitted;
+    if (keepData) {
+        out->append(store(addr));
+        ++emitted;
+    } else {
+        skip();
+    }
+}
+
+void
+ExecContext::skip()
+{
+    // The limit is on skipped references, so it only binds on a
+    // filtered walk: (kFilteredWalkFactor - 1) * budget skips plus the
+    // budget itself is the 256x-budget mixed walk the old
+    // generate-then-filter path gave up after.
+    if (++skipped > skipCap)
+        stopAt = 0;
 }
 
 bool
@@ -68,7 +94,8 @@ measurePassLength(Program &program, std::uint64_t seed, Count cap)
 }
 
 Trace
-generateTrace(Program &program, Count num_refs, std::uint64_t seed)
+generateTrace(Program &program, Count num_refs, std::uint64_t seed,
+              StreamKind stream)
 {
     DYNEX_ASSERT(program.entryFunction() != nullptr,
                  "program '", program.name(), "' has no entry function");
@@ -76,15 +103,21 @@ generateTrace(Program &program, Count num_refs, std::uint64_t seed)
                  "entry function has no body");
 
     program.resetPatterns();
-    Trace trace(program.name());
+    Trace trace(program.name() + streamSuffix(stream));
     trace.reserve(num_refs);
-    ExecContext ctx(trace, num_refs, seed);
+    ExecContext ctx(trace, num_refs, seed, stream);
     while (!ctx.done()) {
-        const Count before = ctx.emittedCount();
+        const Count before = ctx.walkedCount();
         program.entryFunction()->bodyNode()->execute(ctx);
-        DYNEX_ASSERT(ctx.emittedCount() > before,
+        DYNEX_ASSERT(ctx.walkedCount() > before,
                      "program '", program.name(),
                      "' emitted nothing in a whole pass");
+    }
+    if (ctx.emittedCount() < num_refs) {
+        DYNEX_FATAL("benchmark '", program.name(), "' produced too few ",
+                    streamKindName(stream), " references: ",
+                    ctx.emittedCount(), " of ", num_refs, " in ",
+                    ctx.walkedCount(), " walked");
     }
     return trace;
 }

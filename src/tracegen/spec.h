@@ -42,11 +42,13 @@ bool isSpecBenchmark(const std::string &name);
 std::unique_ptr<Program> makeSpecProgram(const std::string &name);
 
 /**
- * Generate @p num_refs references of @p name's mixed
- * instruction+data reference stream with the benchmark's canonical
- * seed.
+ * Generate @p num_refs references of @p name's @p stream (by default
+ * the mixed instruction+data stream) with the benchmark's canonical
+ * seed. A filtered stream is the first @p num_refs matching
+ * references of the mixed one (see generateTrace).
  */
-Trace makeSpecTrace(const std::string &name, Count num_refs);
+Trace makeSpecTrace(const std::string &name, Count num_refs,
+                    StreamKind stream = StreamKind::Mixed);
 
 } // namespace dynex
 

@@ -21,6 +21,7 @@
 
 #include "trace/text_io.h"
 #include "trace/trace_io.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "workload/campaign.h"
 #include "workload/import.h"
@@ -128,6 +129,16 @@ corpusCampaign()
            "}\n";
 }
 
+/** The image in @p out, once its writer's @p written status is OK (a
+ * seed image that failed to encode would fuzz nothing). */
+inline std::string
+encoded(const Status &written, const std::ostringstream &out)
+{
+    DYNEX_ASSERT(written.ok(), "corpus seed failed to encode: ",
+                 written.toString());
+    return out.str();
+}
+
 inline std::vector<Subject>
 buildCorpus()
 {
@@ -135,35 +146,38 @@ buildCorpus()
     std::vector<Subject> corpus;
     {
         std::ostringstream out;
-        writeTrace(trace, out, TraceFormat::Dxt1);
-        corpus.push_back({"dxt1", "trace", out.str(), &parseBinary});
+        const Status written = writeTrace(trace, out, TraceFormat::Dxt1);
+        corpus.push_back({"dxt1", "trace", encoded(written, out),
+                          &parseBinary});
     }
     {
         std::ostringstream out;
-        writeTrace(trace, out, TraceFormat::Dxt2);
-        corpus.push_back({"dxt2", "trace", out.str(), &parseBinary});
+        const Status written = writeTrace(trace, out, TraceFormat::Dxt2);
+        corpus.push_back({"dxt2", "trace", encoded(written, out),
+                          &parseBinary});
     }
     {
         std::ostringstream out;
-        writeTrace(trace, out, TraceFormat::Dxt3);
-        corpus.push_back({"dxt3", "trace", out.str(), &parseBinary});
+        const Status written = writeTrace(trace, out, TraceFormat::Dxt3);
+        corpus.push_back({"dxt3", "trace", encoded(written, out),
+                          &parseBinary});
     }
     {
         std::ostringstream out;
-        writeDinTrace(trace, out);
-        corpus.push_back({"din", "trace", out.str(), &parseDin});
+        const Status written = writeDinTrace(trace, out);
+        corpus.push_back({"din", "trace", encoded(written, out), &parseDin});
     }
     {
         std::ostringstream out;
-        workload::writeTextTrace(trace, out);
+        const Status written = workload::writeTextTrace(trace, out);
         corpus.push_back(
-            {"text", "import", out.str(), &parseImportText});
+            {"text", "import", encoded(written, out), &parseImportText});
     }
     {
         std::ostringstream out;
-        workload::writeLackeyTrace(trace, out);
-        corpus.push_back(
-            {"lackey", "import", out.str(), &parseImportLackey});
+        const Status written = workload::writeLackeyTrace(trace, out);
+        corpus.push_back({"lackey", "import", encoded(written, out),
+                          &parseImportLackey});
     }
     corpus.push_back(
         {"campaign", "import", corpusCampaign(), &parseCampaignSpec});

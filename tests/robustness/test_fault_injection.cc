@@ -105,9 +105,10 @@ TEST(FaultyStreamHarness, DinShortReadTruncatesCleanly)
     for (std::size_t cut = 0; cut < image.size(); cut += 7) {
         FaultyStream in(image, cut, FaultKind::ShortRead);
         const auto result = readDinTrace(in, "t");
-        if (!result.ok())
+        if (!result.ok()) {
             EXPECT_EQ(result.status().code(), StatusCode::CorruptInput)
                 << "cut at " << cut;
+        }
     }
 }
 

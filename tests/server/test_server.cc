@@ -468,9 +468,10 @@ TEST(ServerEndToEnd, CorruptCrcDrawsAnErrorFrame)
 
     const auto fd = connectTcp(kHost, server.port());
     ASSERT_TRUE(fd.ok()) << fd.status().toString();
-    std::string wire =
-        encodeFrame(MsgType::SweepRequest,
-                    encodeSweepRequest(SweepRequest{"doduc"}));
+    SweepRequest request;
+    request.trace = "doduc";
+    std::string wire = encodeFrame(MsgType::SweepRequest,
+                                   encodeSweepRequest(request));
     wire[kFrameHeaderBytes] ^= 0x10; // corrupt the payload
     ASSERT_TRUE(writeAll(fd.value(), wire.data(), wire.size()).ok());
 

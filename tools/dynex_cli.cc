@@ -83,7 +83,7 @@ struct Options
     bool lastLine = false;
     std::uint32_t victimEntries = 0;
     Count refs = 0; // 0 = default
-    std::string stream = "ifetch";
+    StreamKind stream = StreamKind::Instructions;
     unsigned threads = 0; // 0 = DYNEX_THREADS / hardware default
     ReplayEngine replay = ReplayEngine::Batched;
     std::uint64_t injectFaultSize = 0; // 0 = no injection
@@ -331,11 +331,7 @@ resolveTrace(const std::string &arg, const Options &options,
     }
     const Count refs =
         options.refs ? options.refs : Workloads::defaultRefs();
-    if (options.stream == "mixed")
-        return *Workloads::mixed(arg, refs);
-    if (options.stream == "data")
-        return *Workloads::data(arg, refs);
-    return *Workloads::instructions(arg, refs);
+    return *Workloads::stream(arg, refs, options.stream);
 }
 
 bool
@@ -445,9 +441,14 @@ parseOptions(int argc, char **argv, int first, Options &options)
             const char *v = value();
             if (!v)
                 return false;
-            options.stream = v;
-            if (options.stream != "mixed" && options.stream != "ifetch" &&
-                options.stream != "data") {
+            const std::string kind = v;
+            if (kind == "mixed") {
+                options.stream = StreamKind::Mixed;
+            } else if (kind == "ifetch") {
+                options.stream = StreamKind::Instructions;
+            } else if (kind == "data") {
+                options.stream = StreamKind::Data;
+            } else {
                 std::fprintf(stderr, "dynex: bad --stream '%s'\n", v);
                 return false;
             }
@@ -1487,7 +1488,7 @@ main(int argc, char **argv)
         if (argc < 4)
             return usage();
         Options options;
-        options.stream = "mixed";
+        options.stream = StreamKind::Mixed;
         if (!parseOptions(argc, argv, 4, options))
             return 2;
         return cmdGen(argv[2], argv[3], options);

@@ -6,8 +6,10 @@
 # custom size axis:
 #   - `dynex campaign check` validates the spec;
 #   - `dynex campaign run` locally at 1, 2, and 8 worker threads under
-#     the batched and kernel engines — all six JSON+CSV report pairs
-#     must be byte-identical (the engine name is normalized away);
+#     the per-leg and kernel engines — every CSV report and every JSON
+#     report's legs must be byte-identical to the per-leg golden, the
+#     JSON's "engine" member must name the engine that ran, and the
+#     rest of the JSON must match the golden member for member;
 #   - `dynex campaign run --port P` against a live dynex_serve daemon
 #     (serving nothing: every trace arrives by PUT) must reproduce the
 #     local reports byte for byte, cold and warm.
@@ -64,22 +66,31 @@ function(write_spec engine out spec_file)
     file(WRITE ${spec_file} "${text}")
 endfunction()
 
-write_spec(batched ${WORK_DIR}/golden ${WORK_DIR}/golden.dxc)
+write_spec(per-leg ${WORK_DIR}/golden ${WORK_DIR}/golden.dxc)
 run_cli(campaign check ${WORK_DIR}/golden.dxc)
 
-# Local golden at 1 worker, batched.
+# Local golden at 1 worker, per-leg.
 run_cli(campaign run ${WORK_DIR}/golden.dxc --threads 1)
 file(READ ${WORK_DIR}/golden.json golden_json)
 file(READ ${WORK_DIR}/golden.csv golden_csv)
+string(JSON golden_body REMOVE "${golden_json}" campaign engine)
+string(FIND "${golden_json}" "\"legs\"" at)
+string(SUBSTRING "${golden_json}" ${at} -1 golden_legs)
 
-# The engine name is part of the JSON report; normalize it so kernel
-# runs compare against the batched golden.
-function(check_reports tag out)
+# The JSON report names the engine that ran, so only its "engine"
+# member may differ from the per-leg golden.
+function(check_reports tag out engine)
     file(READ ${out}.json json)
     file(READ ${out}.csv csv)
-    string(REPLACE "\"engine\":\"kernel\"" "\"engine\":\"batched\""
-           json "${json}")
-    if(NOT json STREQUAL golden_json)
+    string(JSON ran GET "${json}" campaign engine)
+    if(NOT ran STREQUAL engine)
+        message(FATAL_ERROR
+            "report names engine '${ran}', expected '${engine}' (${tag})")
+    endif()
+    string(FIND "${json}" "\"legs\"" at)
+    string(SUBSTRING "${json}" ${at} -1 legs)
+    string(JSON body REMOVE "${json}" campaign engine)
+    if(NOT legs STREQUAL golden_legs OR NOT body STREQUAL golden_body)
         message(FATAL_ERROR "JSON report differs (${tag})")
     endif()
     if(NOT csv STREQUAL golden_csv)
@@ -88,13 +99,13 @@ function(check_reports tag out)
     message(STATUS "${tag}: byte-identical reports")
 endfunction()
 
-foreach(engine batched kernel)
+foreach(engine per-leg kernel)
     foreach(threads 1 2 8)
         set(tag local_${engine}_t${threads})
         set(out ${WORK_DIR}/${tag})
         write_spec(${engine} ${out} ${out}.dxc)
         run_cli(campaign run ${out}.dxc --threads ${threads})
-        check_reports(${tag} ${out})
+        check_reports(${tag} ${out} ${engine})
     endforeach()
 endforeach()
 
@@ -142,9 +153,9 @@ if(port STREQUAL "")
 endif()
 
 foreach(round cold warm)
-    set(tag remote_batched_${round})
+    set(tag remote_kernel_${round})
     set(out ${WORK_DIR}/${tag})
-    write_spec(batched ${out} ${out}.dxc)
+    write_spec(kernel ${out} ${out}.dxc)
     execute_process(
         COMMAND ${DYNEX_CLI} campaign run ${out}.dxc --port ${port}
         RESULT_VARIABLE remote_rc
@@ -154,7 +165,7 @@ foreach(round cold warm)
         message(FATAL_ERROR
             "remote campaign failed (${tag}):\n${remote_out}${remote_err}")
     endif()
-    check_reports(${tag} ${out})
+    check_reports(${tag} ${out} kernel)
 endforeach()
 
 stop_server(${pid_file})

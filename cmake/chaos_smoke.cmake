@@ -78,7 +78,7 @@ endfunction()
 start_server(clean clean_port "")
 execute_process(
     COMMAND ${DYNEX_CLI} remote-sweep ${bench} --port ${clean_port}
-            --line ${line} --replay batched
+            --line ${line}
     OUTPUT_VARIABLE clean_out
     RESULT_VARIABLE clean_rc)
 stop_server(${WORK_DIR}/pid_clean)
@@ -100,7 +100,7 @@ set(saw_fault FALSE)
 foreach(probe RANGE 1 8)
     execute_process(
         COMMAND ${DYNEX_CLI} remote-sweep ${bench} --port ${chaos_port}
-                --line ${line} --replay batched
+                --line ${line}
         OUTPUT_VARIABLE probe_out
         RESULT_VARIABLE probe_rc)
     if(NOT probe_rc EQUAL 0)
@@ -120,7 +120,7 @@ endif()
 foreach(round 1 2 3)
     execute_process(
         COMMAND ${DYNEX_CLI} remote-sweep ${bench} --port ${chaos_port}
-                --line ${line} --replay batched
+                --line ${line}
                 --retries 12 --backoff-ms 5 --client-id chaos-smoke
         OUTPUT_VARIABLE chaos_sweep_out
         RESULT_VARIABLE chaos_sweep_rc)

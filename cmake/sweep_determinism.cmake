@@ -1,6 +1,5 @@
-# Determinism check: every replay engine (per-leg, batched, kernel)
-# must produce CLI sweep output byte-identical to the others at every
-# worker count.
+# Determinism check: the kernel must produce CLI sweep output
+# byte-identical to the per-leg reference engine at every worker count.
 #
 # Usage: cmake -DDYNEX_CLI=<path-to-dynex> -P sweep_determinism.cmake
 
@@ -21,7 +20,7 @@ foreach(threads 1 2 8)
             "per-leg sweep failed (threads=${threads}, rc=${per_leg_rc})")
     endif()
 
-    foreach(engine batched kernel)
+    foreach(engine kernel)
         execute_process(
             COMMAND ${DYNEX_CLI} ${common} --threads ${threads}
                     --replay ${engine}

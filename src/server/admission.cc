@@ -22,7 +22,6 @@ constexpr double kEwmaAlpha = 0.2;
 constexpr double kSeedNsPerRefLeg[kWorkKindCount] = {
     0.0, // Trivial: never costed
     2.0, // Replay
-    1.0, // SweepBatched
     2.0, // SweepPerLeg
     0.5, // SweepKernel
 };

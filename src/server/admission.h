@@ -45,12 +45,11 @@ enum class WorkKind : std::uint8_t
 {
     Trivial = 0,  ///< ping / list / stats / hello: never shed
     Replay,       ///< one model over one trace
-    SweepBatched, ///< full triad sweep, batched engine
     SweepPerLeg,  ///< full triad sweep, per-leg engine
     SweepKernel,  ///< full triad sweep, SoA kernel engine
 };
 
-inline constexpr std::size_t kWorkKindCount = 5;
+inline constexpr std::size_t kWorkKindCount = 4;
 
 struct AdmissionConfig
 {

@@ -559,7 +559,7 @@ parseSweepRequest(std::string_view payload)
     }
     if (Status s = r.done(); !s.ok())
         return s;
-    if (request.engine > 2)
+    if (!replayEngineFromWireCode(request.engine))
         return Status::corruptInput("DXP1: bad replay engine " +
                                     std::to_string(request.engine));
     return request;

@@ -243,7 +243,9 @@ struct SweepRequest
 {
     std::string trace;
     std::uint32_t lineBytes = 4;
-    std::uint8_t engine = 0;      ///< 0 = batched, 1 = per-leg, 2 = kernel
+    /** replayEngineWireCode: 1 = per-leg, 2 = kernel; 0, the retired
+     * batched engine's byte, is an alias of the kernel. */
+    std::uint8_t engine = 0;
     std::uint8_t stickyMax = 1;
     std::uint32_t deadlineMs = 0; ///< 0 = no deadline
     /**

@@ -845,7 +845,9 @@ std::string Server::handleSweep(const SweepRequest &request,
         validGeometry(axis.back(), request.lineBytes);
     if (!geometry.ok())
         return errorFrame(geometry);
-    if (request.engine > 2)
+    const std::optional<ReplayEngine> engine =
+        replayEngineFromWireCode(request.engine);
+    if (!engine)
         return errorFrame(
             Status::corruptInput("unknown replay engine"));
     Status deadline = checkDeadline(ctx.arrivalNs, request.deadlineMs);
@@ -853,9 +855,9 @@ std::string Server::handleSweep(const SweepRequest &request,
         return errorFrame(deadline);
 
     // A sweep replays three models at every axis size.
-    const WorkKind kind = request.engine == 0 ? WorkKind::SweepBatched
-                          : request.engine == 1 ? WorkKind::SweepPerLeg
-                                                : WorkKind::SweepKernel;
+    const WorkKind kind = *engine == ReplayEngine::PerLeg
+                              ? WorkKind::SweepPerLeg
+                              : WorkKind::SweepKernel;
     const std::uint64_t legs = 3 * axis.size();
     const std::uint64_t admitStartNs = obs::monotonicNs();
     const AdmissionDecision ticket =
@@ -890,17 +892,12 @@ std::string Server::handleSweep(const SweepRequest &request,
     DynamicExclusionConfig sweepConfig;
     sweepConfig.stickyMax = request.stickyMax;
     sweepConfig.useLastLine = request.lineBytes > 4;
-    const ReplayEngine engine = request.engine == 0
-                                    ? ReplayEngine::Batched
-                                : request.engine == 1
-                                    ? ReplayEngine::PerLeg
-                                    : ReplayEngine::Kernel;
     const SizeSweepOutcome outcome = [&] {
         obs::ScopedSpan span("srv", "replay", ctx.traceId);
         const std::uint64_t replayStartNs = obs::monotonicNs();
         SizeSweepOutcome swept = sweepSizesChecked(
             *warm.value().trace, *warm.value().index, axis,
-            request.lineBytes, sweepConfig, engine);
+            request.lineBytes, sweepConfig, *engine);
         recordLatency(obs::Latency::Replay,
                       obs::monotonicNs() - replayStartNs);
         return swept;

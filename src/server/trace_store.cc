@@ -20,11 +20,11 @@ std::uint64_t traceBytes(const Trace &trace)
            trace.name().size();
 }
 
-/** Resident charge of one (index, view) artifact pair: 8-byte ticks
- * plus 8-byte block numbers per reference. */
+/** Resident charge of one next-use index: 8-byte ticks per
+ * reference. */
 std::uint64_t artifactBytes(const Trace &trace)
 {
-    return static_cast<std::uint64_t>(trace.size()) * 16;
+    return static_cast<std::uint64_t>(trace.size()) * sizeof(Tick);
 }
 
 void chargeActive(obs::Counter counter, std::uint64_t delta)
@@ -35,12 +35,11 @@ void chargeActive(obs::Counter counter, std::uint64_t delta)
 
 } // namespace
 
-/** One (index, view) pair at one line granularity, single-flight. */
+/** One next-use index at one line granularity, single-flight. */
 struct TraceStore::Artifact
 {
     bool ready = false; ///< false while the builder thread runs
     std::shared_ptr<const NextUseIndex> index;
-    std::shared_ptr<const PackedTraceView> view;
 };
 
 /** One cached trace and its per-granularity artifacts. All fields are
@@ -233,8 +232,6 @@ Result<IndexedTrace> TraceStore::indexed(const std::string &name,
         result.trace = base.value();
         result.index = std::make_shared<const NextUseIndex>(
             *result.trace, line_bytes, NextUseMode::RunStart);
-        result.view = std::make_shared<const PackedTraceView>(*result.trace,
-                                                              line_bytes);
         result.lineBytes = line_bytes;
         chargeActive(obs::Counter::IndexBuildNs,
                      obs::monotonicNs() - startNs);
@@ -263,7 +260,6 @@ Result<IndexedTrace> TraceStore::indexed(const std::string &name,
         IndexedTrace result;
         result.trace = entry->trace;
         result.index = artifact->index;
-        result.view = artifact->view;
         result.lineBytes = line_bytes;
         return result;
     }
@@ -277,12 +273,10 @@ Result<IndexedTrace> TraceStore::indexed(const std::string &name,
     const std::uint64_t startNs = obs::monotonicNs();
     auto index = std::make_shared<const NextUseIndex>(*source, line_bytes,
                                                       NextUseMode::RunStart);
-    auto view = std::make_shared<const PackedTraceView>(*source, line_bytes);
     const std::uint64_t elapsedNs = obs::monotonicNs() - startNs;
     lock.lock();
 
     artifact->index = index;
-    artifact->view = view;
     artifact->ready = true;
     entry->bytes += artifactBytes(*source);
     entry->lastUse = ++useClock;
@@ -296,7 +290,6 @@ Result<IndexedTrace> TraceStore::indexed(const std::string &name,
     IndexedTrace result;
     result.trace = source;
     result.index = index;
-    result.view = view;
     result.lineBytes = line_bytes;
     return result;
 }

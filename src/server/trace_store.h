@@ -1,9 +1,9 @@
 /**
  * @file
  * TraceStore: the server's in-memory cache of loaded traces and their
- * derived artifacts (RunStart next-use indices and packed views, per
- * line granularity), so repeated simulation queries skip DXT parsing
- * and index builds entirely.
+ * derived artifacts (RunStart next-use indices, per line
+ * granularity), so repeated simulation queries skip DXT parsing and
+ * index builds entirely.
  *
  * Guarantees:
  *   - Single-flight loading: concurrent requests for the same trace
@@ -40,7 +40,6 @@
 #include <string>
 
 #include "trace/next_use.h"
-#include "trace/packed_view.h"
 #include "trace/trace.h"
 #include "util/status.h"
 
@@ -54,7 +53,6 @@ struct IndexedTrace
 {
     std::shared_ptr<const Trace> trace;
     std::shared_ptr<const NextUseIndex> index; ///< RunStart @ lineBytes
-    std::shared_ptr<const PackedTraceView> view;
     std::uint32_t lineBytes = 0;
 };
 
@@ -85,7 +83,7 @@ class TraceStore
         std::uint64_t traceLoads = 0;  ///< loader invocations completed
         std::uint64_t loadFailures = 0;
         std::uint64_t indexHits = 0;   ///< artifact ready on arrival
-        std::uint64_t indexBuilds = 0; ///< index+view builds completed
+        std::uint64_t indexBuilds = 0; ///< index builds completed
         std::uint64_t singleFlightWaits = 0; ///< joined an in-flight op
         std::uint64_t evictions = 0;
         std::uint64_t residentBytes = 0;
@@ -104,9 +102,9 @@ class TraceStore
     Result<std::shared_ptr<const Trace>> trace(const std::string &name);
 
     /**
-     * The trace plus its RunStart next-use index and packed view at
-     * @p line_bytes, building them on first use (single-flight per
-     * (name, line)).
+     * The trace plus its RunStart next-use index at @p line_bytes,
+     * building the index on first use (single-flight per (name,
+     * line)).
      */
     Result<IndexedTrace> indexed(const std::string &name,
                                  std::uint32_t line_bytes);

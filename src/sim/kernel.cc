@@ -15,7 +15,10 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace_events.h"
+#include "trace/packed_view.h"
 #include "util/logging.h"
+#include "util/string_utils.h"
+#include "util/zero_pages.h"
 
 // The chunk loops run hot enough that inlining them into the (large)
 // pass driver costs real speed: the merged frame spills their loop
@@ -115,10 +118,12 @@ computeSame(KernelIsa isa, const Addr *blocks, std::size_t n,
 }
 
 /**
- * Per-leg hit-last bits. Traces with a compact block range get a flat
- * bitmap (one load + shift per probe, no pointer chase); anything
- * sparse enough to blow the cap falls back to the exact
- * IdealHitLastStore, whose values are identical by construction.
+ * Per-leg hit-last bits. A cold-false leg over a compact block range
+ * gets a flat bitmap (one load + shift per probe, no pointer chase)
+ * on zero pages, so resident memory follows the blocks the leg
+ * actually touches. A cold-true leg, or one whose blocks blow the cap,
+ * uses the exact IdealHitLastStore instead, whose values are
+ * identical by construction.
  */
 class HitLastLane
 {
@@ -129,20 +134,19 @@ class HitLastLane
     void
     init(Addr max_block, bool initial_value)
     {
-        if (max_block != kAddrInvalid && max_block < kFlatCapBlocks) {
-            words.assign((max_block >> 6) + 1,
-                         initial_value ? ~std::uint64_t{0} : 0);
-        } else {
+        if (!initial_value && max_block != kAddrInvalid &&
+            max_block < kFlatCapBlocks)
+            words = ZeroPageArray<std::uint64_t>((max_block >> 6) + 1);
+        else
             store = std::make_unique<IdealHitLastStore>(initial_value);
-        }
     }
 
-    bool isFlat() const { return !words.empty(); }
-    std::uint64_t *flatWords() { return words.data(); }
+    bool isFlat() const { return words.size() != 0; }
+    std::uint64_t *flatWords() { return words.begin(); }
     IdealHitLastStore *fallback() { return store.get(); }
 
   private:
-    std::vector<std::uint64_t> words;
+    ZeroPageArray<std::uint64_t> words;
     std::unique_ptr<IdealHitLastStore> store;
 };
 
@@ -547,7 +551,7 @@ legResult(const KernelLeg &leg, std::uint64_t refs)
 }
 
 /** Per-(size, model) wall time of one kernel pass; empty when no
- * metrics collector is installed (mirrors the batched engine). */
+ * metrics collector is installed. */
 struct KernelPassTiming
 {
     std::vector<std::uint64_t> dmNs;
@@ -573,11 +577,15 @@ maxBlockOf(const PackedTraceView &view)
 }
 
 /**
- * Stream @p view through every non-null leg once, in chunks, with the
- * same observability contract as the batched engine's runBatchPass:
- * per-chunk-per-model timing under a metrics collector, chunk and
- * pass spans under a tracer, trace-unit progress, and one
- * ReplayChunks count per chunk.
+ * Stream @p view through every non-null leg once, in chunks.
+ *
+ * Observability: under a metrics collector each model's chunk slice
+ * is timed (per chunk x model, never per reference) and every chunk
+ * adds one ReplayChunks count; under a tracer the pass and each chunk
+ * get spans; under a progress bar each chunk reports its references
+ * once (the chunk serves every leg, so progress advances in trace
+ * units). With none installed the cost is three null checks per
+ * chunk.
  */
 KernelPassTiming
 runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
@@ -599,7 +607,7 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
     const KernelIsa isa = kernelDispatchIsa();
     const bool last_line = config.useLastLine;
     const std::uint8_t sticky_max = config.stickyMax;
-    std::vector<std::uint8_t> same(detail::kBatchChunkRefs);
+    std::vector<std::uint8_t> same(detail::kKernelChunkRefs);
 
     const std::uint64_t pass_start = tracer ? tracer->nowNs() : 0;
     const Addr *blocks = view.blocks();
@@ -607,9 +615,9 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
     const std::size_t n = view.size();
     Addr prev_block = kAddrInvalid;
     for (std::size_t base = 0; base < n;
-         base += detail::kBatchChunkRefs) {
+         base += detail::kKernelChunkRefs) {
         const std::size_t end =
-            std::min(n, base + detail::kBatchChunkRefs);
+            std::min(n, base + detail::kKernelChunkRefs);
         const std::size_t len = end - base;
         computeSame(isa, blocks + base, len, prev_block, same.data());
         prev_block = blocks[end - 1];
@@ -668,8 +676,8 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
     return timing;
 }
 
-/** Record every completed leg into its registered metrics slot (same
- * contract as the batched engine's fillLegMetrics). */
+/** Record every completed leg into its registered metrics slot (legs
+ * that were never registered, or whose setup failed, are skipped). */
 void
 fillLegMetrics(const std::string &label,
                const std::vector<std::uint64_t> &sizes,
@@ -702,20 +710,43 @@ fillLegMetrics(const std::string &label,
     }
 }
 
-void
-checkKernelInputs(const PackedTraceView &view,
-                  const NextUseIndex &index, std::uint32_t line_bytes,
-                  const DynamicExclusionConfig &config)
+} // namespace
+
+const char *
+replayEngineName(ReplayEngine engine)
 {
-    DYNEX_ASSERT(index.blockSize() == line_bytes,
-                 "index granularity mismatch");
-    DYNEX_ASSERT(view.size() <= index.size(),
-                 "next-use index shorter than the trace");
-    DYNEX_ASSERT(config.stickyMax >= 1,
-                 "sticky_max must be at least 1");
+    return engine == ReplayEngine::PerLeg ? "per-leg" : "kernel";
 }
 
-} // namespace
+std::optional<ReplayEngine>
+parseReplayEngine(const std::string &name)
+{
+    if (iequals(name, "kernel") || iequals(name, "batched"))
+        return ReplayEngine::Kernel;
+    if (iequals(name, "per-leg"))
+        return ReplayEngine::PerLeg;
+    return std::nullopt;
+}
+
+std::uint8_t
+replayEngineWireCode(ReplayEngine engine)
+{
+    return engine == ReplayEngine::PerLeg ? 1 : 2;
+}
+
+std::optional<ReplayEngine>
+replayEngineFromWireCode(std::uint8_t code)
+{
+    switch (code) {
+      case 0:
+      case 2:
+        return ReplayEngine::Kernel;
+      case 1:
+        return ReplayEngine::PerLeg;
+      default:
+        return std::nullopt;
+    }
+}
 
 const char *
 kernelIsaName(KernelIsa isa)
@@ -744,34 +775,7 @@ kernelForceScalar()
     return gForceScalar.load(std::memory_order_relaxed);
 }
 
-std::vector<TriadResult>
-replayTriadKernel(const Trace &trace, const NextUseIndex &index,
-                  const std::vector<std::uint64_t> &sizes,
-                  std::uint32_t line_bytes,
-                  const DynamicExclusionConfig &de_config)
-{
-    const PackedTraceView view(trace, line_bytes);
-    checkKernelInputs(view, index, line_bytes, de_config);
-    const Addr max_block = maxBlockOf(view);
-
-    std::vector<std::unique_ptr<KernelLeg>> legs;
-    legs.reserve(sizes.size());
-    for (const std::uint64_t size : sizes)
-        legs.push_back(std::make_unique<KernelLeg>(
-            size, line_bytes, max_block, de_config));
-
-    const KernelPassTiming timing =
-        runKernelPass(view, index, trace.name(), legs, de_config);
-
-    std::vector<TriadResult> results(sizes.size());
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        results[s] = legResult(*legs[s], view.size());
-    fillLegMetrics(trace.name(), sizes, view.size(), timing, legs,
-                   results);
-    return results;
-}
-
-TriadBatchOutcome
+TriadPassOutcome
 replayTriadKernelChecked(const Trace &trace, const NextUseIndex &index,
                          const std::vector<std::uint64_t> &sizes,
                          std::uint32_t line_bytes,
@@ -779,11 +783,16 @@ replayTriadKernelChecked(const Trace &trace, const NextUseIndex &index,
                          const std::string &bench)
 {
     const PackedTraceView view(trace, line_bytes);
-    checkKernelInputs(view, index, line_bytes, de_config);
+    DYNEX_ASSERT(index.blockSize() == line_bytes,
+                 "index granularity mismatch");
+    DYNEX_ASSERT(view.size() <= index.size(),
+                 "next-use index shorter than the trace");
+    DYNEX_ASSERT(de_config.stickyMax >= 1,
+                 "sticky_max must be at least 1");
     const std::string &label = bench.empty() ? trace.name() : bench;
     const Addr max_block = maxBlockOf(view);
 
-    TriadBatchOutcome outcome;
+    TriadPassOutcome outcome;
     outcome.triads.resize(sizes.size());
     outcome.ok.assign(sizes.size(), 0);
 
@@ -814,6 +823,18 @@ replayTriadKernelChecked(const Trace &trace, const NextUseIndex &index,
     fillLegMetrics(label, sizes, view.size(), timing, legs,
                    outcome.triads);
     return outcome;
+}
+
+std::vector<TriadResult>
+replayTriadKernel(const Trace &trace, const NextUseIndex &index,
+                  const std::vector<std::uint64_t> &sizes,
+                  std::uint32_t line_bytes,
+                  const DynamicExclusionConfig &de_config)
+{
+    TriadPassOutcome outcome = replayTriadKernelChecked(
+        trace, index, sizes, line_bytes, de_config);
+    throwFirstFailure(outcome);
+    return std::move(outcome.triads);
 }
 
 } // namespace dynex

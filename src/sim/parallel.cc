@@ -53,48 +53,6 @@ simParallelFor(std::size_t n,
     ThreadPool::global().parallelFor(n, body);
 }
 
-std::vector<std::vector<TriadResult>>
-sweepSuiteTriads(const std::vector<std::string> &benchmark_names,
-                 Count refs, const std::vector<std::uint64_t> &sizes,
-                 std::uint32_t line_bytes,
-                 const DynamicExclusionConfig &config, StreamKind stream,
-                 ReplayEngine engine)
-{
-    std::vector<std::vector<TriadResult>> grid(benchmark_names.size());
-    simParallelFor(benchmark_names.size(), [&](std::size_t b) {
-        const std::string &bench = benchmark_names[b];
-        std::optional<obs::ScopedSpan> bench_span;
-        if (obs::Tracer::active())
-            bench_span.emplace("bench", "bench " + bench);
-        const auto trace = loadStream(bench, refs, stream);
-        // Per-worker scratch: consecutive benchmarks on one pool
-        // thread reuse the backward-pass table allocation.
-        thread_local NextUseScratch scratch;
-        simobs::IndexBuildTimer index_timer;
-        const NextUseIndex index(*trace, line_bytes,
-                                 NextUseMode::RunStart, &scratch);
-        index_timer.finish(bench);
-        auto &row = grid[b];
-        if (engine != ReplayEngine::PerLeg) {
-            // One pass over the trace feeds every (size, model) leg of
-            // this benchmark; parallelism comes from the benchmark
-            // fan-out above.
-            row = engine == ReplayEngine::Kernel
-                      ? replayTriadKernel(*trace, index, sizes,
-                                          line_bytes, config)
-                      : replayTriadBatch(*trace, index, sizes,
-                                         line_bytes, config);
-            return;
-        }
-        row.resize(sizes.size());
-        simParallelFor(sizes.size(), [&](std::size_t s) {
-            row[s] = simobs::runTriadLeg(*trace, index, bench,
-                                         sizes[s], line_bytes, config);
-        });
-    });
-    return grid;
-}
-
 SuiteSweepOutcome
 sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
                         Count refs,
@@ -139,18 +97,15 @@ sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
                      statusFromException(std::current_exception())});
                 return;
             }
-            if (engine != ReplayEngine::PerLeg) {
-                auto batch =
-                    engine == ReplayEngine::Kernel
-                        ? replayTriadKernelChecked(*trace, *index,
-                                                   sizes, line_bytes,
-                                                   config, bench)
-                        : replayTriadBatchChecked(*trace, *index,
-                                                  sizes, line_bytes,
-                                                  config, bench);
-                outcome.grid[b] = std::move(batch.triads);
-                outcome.ok[b] = std::move(batch.ok);
-                for (auto &failure : batch.failures)
+            if (engine == ReplayEngine::Kernel) {
+                // One pass over the trace feeds every (size, model)
+                // leg of this benchmark; parallelism comes from the
+                // benchmark fan-out above.
+                auto pass = replayTriadKernelChecked(
+                    *trace, *index, sizes, line_bytes, config, bench);
+                outcome.grid[b] = std::move(pass.triads);
+                outcome.ok[b] = std::move(pass.ok);
+                for (auto &failure : pass.failures)
                     per_bench[b].push_back(
                         {bench, sizes[failure.sizeIndex], "triad",
                          std::move(failure.status)});
@@ -193,6 +148,20 @@ sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
 }
 
 std::vector<std::vector<TriadResult>>
+sweepSuiteTriads(const std::vector<std::string> &benchmark_names,
+                 Count refs, const std::vector<std::uint64_t> &sizes,
+                 std::uint32_t line_bytes,
+                 const DynamicExclusionConfig &config, StreamKind stream,
+                 ReplayEngine engine)
+{
+    SuiteSweepOutcome outcome = sweepSuiteTriadsChecked(
+        benchmark_names, refs, sizes, line_bytes, config, stream,
+        engine);
+    throwFirstFailure(outcome);
+    return std::move(outcome.grid);
+}
+
+std::vector<std::vector<TriadResult>>
 sweepSuiteLineTriads(const std::vector<std::string> &benchmark_names,
                      Count refs, std::uint64_t size_bytes,
                      const std::vector<std::uint32_t> &lines,
@@ -209,7 +178,7 @@ sweepSuiteLineTriads(const std::vector<std::string> &benchmark_names,
             loadStream(bench, refs, StreamKind::Instructions);
         auto &row = grid[b];
         row.resize(lines.size());
-        if (engine != ReplayEngine::PerLeg) {
+        if (engine == ReplayEngine::Kernel) {
             // Serial over line sizes so every index build of this
             // benchmark reuses one scratch table; each line point's
             // three models replay in a single trace pass.
@@ -221,13 +190,8 @@ sweepSuiteLineTriads(const std::vector<std::string> &benchmark_names,
                                          NextUseMode::RunStart,
                                          &scratch);
                 index_timer.finish(bench);
-                row[l] = engine == ReplayEngine::Kernel
-                             ? replayTriadKernel(*trace, index,
-                                                 one_size, lines[l],
-                                                 config)[0]
-                             : replayTriadBatch(*trace, index,
-                                                one_size, lines[l],
-                                                config)[0];
+                row[l] = replayTriadKernel(*trace, index, one_size,
+                                           lines[l], config)[0];
             }
             return;
         }

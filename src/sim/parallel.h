@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "cache/dynamic_exclusion.h"
-#include "sim/batch.h"
+#include "sim/kernel.h"
 #include "sim/runner.h"
 #include "trace/trace.h"
 #include "util/status.h"
@@ -72,28 +72,20 @@ void simParallelFor(std::size_t n,
                     const std::function<void(std::size_t)> &body);
 
 /**
- * The full triad grid of a suite sweep: result[b][s] is the triad of
+ * The full triad grid of a suite sweep: grid[b][s] is the triad of
  * benchmark_names[b] at sizes[s]. One trace and one RunStart next-use
  * index are built per benchmark (at @p line_bytes) and shared across
  * that benchmark's sizes. Benchmarks fan out across the pool; within
- * a benchmark the Batched engine replays all sizes x models in one
- * trace pass, while PerLeg fans the sizes out beneath it. At most one
+ * a benchmark the kernel replays all sizes x models in one trace
+ * pass, while PerLeg fans the sizes out beneath it. At most one
  * trace + index per in-flight benchmark is resident, so peak memory
  * scales with the worker count rather than the suite size. Both
  * engines produce bit-identical grids at any worker count.
- */
-std::vector<std::vector<TriadResult>> sweepSuiteTriads(
-    const std::vector<std::string> &benchmark_names, Count refs,
-    const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
-    const DynamicExclusionConfig &config, StreamKind stream,
-    ReplayEngine engine = ReplayEngine::Batched);
-
-/**
- * The fault-tolerant form of sweepSuiteTriads: every failure — a
- * throwing trace load, a failing leg, an injected fault — is captured
- * as a FailedLeg instead of propagating, and every unaffected leg
- * completes with results bit-identical to an unfaulted run at any
- * worker count. Benchmarks are independent simulations, so one
+ *
+ * Every failure — a throwing trace load, a failing leg, an injected
+ * fault — is captured as a FailedLeg instead of propagating, and
+ * every unaffected leg completes with results bit-identical to an
+ * unfaulted run. Benchmarks are independent simulations, so one
  * benchmark's failure cannot perturb another's replay; within a
  * benchmark, legs are independent models, so a failed leg cannot
  * perturb its siblings.
@@ -102,14 +94,22 @@ SuiteSweepOutcome sweepSuiteTriadsChecked(
     const std::vector<std::string> &benchmark_names, Count refs,
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
     const DynamicExclusionConfig &config, StreamKind stream,
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
+
+/** sweepSuiteTriadsChecked's grid, throwing the first failed leg's
+ * Status as a StatusError. */
+std::vector<std::vector<TriadResult>> sweepSuiteTriads(
+    const std::vector<std::string> &benchmark_names, Count refs,
+    const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
+    const DynamicExclusionConfig &config, StreamKind stream,
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 /**
  * The line-size counterpart: result[b][l] is the triad of
  * benchmark_names[b] at lines[l] with fixed @p size_bytes. A fresh
  * RunStart index is built per (benchmark, line size), since next-use
- * equivalence depends on block granularity; the Batched engine walks
- * a benchmark's line sizes serially so the index builds can share one
+ * equivalence depends on block granularity; the kernel walks a
+ * benchmark's line sizes serially so the index builds can share one
  * scratch table, and replays each line point's three models in one
  * trace pass.
  */
@@ -117,7 +117,7 @@ std::vector<std::vector<TriadResult>> sweepSuiteLineTriads(
     const std::vector<std::string> &benchmark_names, Count refs,
     std::uint64_t size_bytes, const std::vector<std::uint32_t> &lines,
     const DynamicExclusionConfig &config,
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 } // namespace dynex
 

@@ -22,13 +22,14 @@ namespace dynex
 {
 
 /**
- * Fault-injection point for the checked sweep engines (tests and the
- * CLI's --inject-fault flag). When set, the hook is invoked before
- * each leg of a *checked* sweep runs — once per benchmark with
- * size_bytes == 0 ("setup"), and once per (benchmark, cache size)
- * leg — and may throw (typically StatusError) to make that leg fail.
- * The unchecked hot paths never consult it. Set it before a sweep
- * starts; it is read concurrently while one runs.
+ * Fault-injection point for the sweep engines (tests and the CLI's
+ * --inject-fault flag). When set, the hook is invoked before each leg
+ * of a sweep runs — once per benchmark with size_bytes == 0 ("setup"),
+ * and once per (benchmark, cache size) leg — and may throw (typically
+ * StatusError) to make that leg fail: the checked sweeps record the
+ * failure, the unchecked ones throw it. runTriad never consults it.
+ * Set it before a sweep starts; it is read concurrently while one
+ * runs.
  */
 using SweepFaultHook =
     std::function<void(const std::string &bench, std::uint64_t size_bytes)>;

@@ -95,72 +95,6 @@ const
 namespace
 {
 
-/** The shared sweep body; the caller owns the sweep span. */
-std::vector<SizeSweepPoint>
-sweepSizesImpl(const Trace &trace, const NextUseIndex &index,
-               const std::vector<std::uint64_t> &sizes,
-               std::uint32_t line_bytes,
-               const DynamicExclusionConfig &config, ReplayEngine engine)
-{
-    DYNEX_ASSERT(index.blockSize() == line_bytes &&
-                     index.mode() == NextUseMode::RunStart,
-                 "sweepSizes needs a RunStart index at line granularity");
-    std::vector<SizeSweepPoint> points(sizes.size());
-    if (engine != ReplayEngine::PerLeg) {
-        const auto triads =
-            engine == ReplayEngine::Kernel
-                ? replayTriadKernel(trace, index, sizes, line_bytes,
-                                    config)
-                : replayTriadBatch(trace, index, sizes, line_bytes,
-                                   config);
-        for (std::size_t s = 0; s < sizes.size(); ++s)
-            points[s] = {sizes[s], triads[s].dmMissPct(),
-                         triads[s].deMissPct(), triads[s].optMissPct()};
-        return points;
-    }
-    simParallelFor(sizes.size(), [&](std::size_t s) {
-        const TriadResult triad = simobs::runTriadLeg(
-            trace, index, trace.name(), sizes[s], line_bytes, config);
-        points[s] = {sizes[s], triad.dmMissPct(), triad.deMissPct(),
-                     triad.optMissPct()};
-    });
-    return points;
-}
-
-} // namespace
-
-std::vector<SizeSweepPoint>
-sweepSizes(const Trace &trace, const std::vector<std::uint64_t> &sizes,
-           std::uint32_t line_bytes, const DynamicExclusionConfig &config,
-           ReplayEngine engine)
-{
-    std::optional<obs::ScopedSpan> sweep_span;
-    if (obs::Tracer::active())
-        sweep_span.emplace("sweep", "sweep " + trace.name());
-
-    simobs::IndexBuildTimer index_timer;
-    const NextUseIndex index(trace, line_bytes, NextUseMode::RunStart);
-    index_timer.finish(trace.name());
-    return sweepSizesImpl(trace, index, sizes, line_bytes, config,
-                          engine);
-}
-
-std::vector<SizeSweepPoint>
-sweepSizes(const Trace &trace, const NextUseIndex &index,
-           const std::vector<std::uint64_t> &sizes,
-           std::uint32_t line_bytes, const DynamicExclusionConfig &config,
-           ReplayEngine engine)
-{
-    std::optional<obs::ScopedSpan> sweep_span;
-    if (obs::Tracer::active())
-        sweep_span.emplace("sweep", "sweep " + trace.name());
-    return sweepSizesImpl(trace, index, sizes, line_bytes, config,
-                          engine);
-}
-
-namespace
-{
-
 /** The shared checked-sweep body; the caller owns the sweep span and
  * has already built (or fetched) the index. */
 SizeSweepOutcome
@@ -186,17 +120,13 @@ sweepSizesCheckedImpl(const Trace &trace, const NextUseIndex &index,
         outcome.ok[s] = 1;
     };
 
-    if (engine != ReplayEngine::PerLeg) {
-        auto batch =
-            engine == ReplayEngine::Kernel
-                ? replayTriadKernelChecked(trace, index, sizes,
-                                           line_bytes, config)
-                : replayTriadBatchChecked(trace, index, sizes,
-                                          line_bytes, config);
+    if (engine == ReplayEngine::Kernel) {
+        auto pass = replayTriadKernelChecked(trace, index, sizes,
+                                             line_bytes, config);
         for (std::size_t s = 0; s < sizes.size(); ++s)
-            if (batch.ok[s])
-                fillPoint(s, batch.triads[s]);
-        for (auto &failure : batch.failures)
+            if (pass.ok[s])
+                fillPoint(s, pass.triads[s]);
+        for (auto &failure : pass.failures)
             outcome.failures.push_back({trace.name(),
                                         sizes[failure.sizeIndex],
                                         "triad",
@@ -277,41 +207,26 @@ sweepSizesChecked(const Trace &trace, const NextUseIndex &index,
 }
 
 std::vector<SizeSweepPoint>
-sweepSuiteAverage(const std::vector<std::string> &benchmark_names,
-                  Count refs, const std::vector<std::uint64_t> &sizes,
-                  std::uint32_t line_bytes,
-                  const DynamicExclusionConfig &config, bool data_refs,
-                  bool mixed_refs, ReplayEngine engine)
+sweepSizes(const Trace &trace, const std::vector<std::uint64_t> &sizes,
+           std::uint32_t line_bytes, const DynamicExclusionConfig &config,
+           ReplayEngine engine)
 {
-    DYNEX_ASSERT(!(data_refs && mixed_refs),
-                 "choose one stream kind");
-    std::vector<SizeSweepPoint> average(sizes.size());
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        average[s].sizeBytes = sizes[s];
+    SizeSweepOutcome outcome =
+        sweepSizesChecked(trace, sizes, line_bytes, config, engine);
+    throwFirstFailure(outcome);
+    return std::move(outcome.points);
+}
 
-    const StreamKind stream = mixed_refs ? StreamKind::Mixed
-                              : data_refs ? StreamKind::Data
-                                          : StreamKind::Instructions;
-    const auto grid = sweepSuiteTriads(benchmark_names, refs, sizes,
-                                       line_bytes, config, stream,
-                                       engine);
-    // Serial reduction in benchmark order: identical floating-point
-    // accumulation order to the historical serial loop, so results are
-    // bit-identical at any thread count.
-    for (const auto &row : grid) {
-        for (std::size_t s = 0; s < sizes.size(); ++s) {
-            average[s].dmMissPct += row[s].dmMissPct();
-            average[s].deMissPct += row[s].deMissPct();
-            average[s].optMissPct += row[s].optMissPct();
-        }
-    }
-    const auto n = static_cast<double>(benchmark_names.size());
-    for (auto &point : average) {
-        point.dmMissPct /= n;
-        point.deMissPct /= n;
-        point.optMissPct /= n;
-    }
-    return average;
+std::vector<SizeSweepPoint>
+sweepSizes(const Trace &trace, const NextUseIndex &index,
+           const std::vector<std::uint64_t> &sizes,
+           std::uint32_t line_bytes, const DynamicExclusionConfig &config,
+           ReplayEngine engine)
+{
+    SizeSweepOutcome outcome = sweepSizesChecked(
+        trace, index, sizes, line_bytes, config, engine);
+    throwFirstFailure(outcome);
+    return std::move(outcome.points);
 }
 
 SuiteAverageOutcome
@@ -340,8 +255,10 @@ sweepSuiteAverageChecked(const std::vector<std::string> &benchmark_names,
                                          engine);
     outcome.failures = std::move(suite.failures);
 
-    // Same serial benchmark-order accumulation as the unchecked
-    // reduction; a failed leg simply contributes nothing to its size.
+    // Serial reduction in benchmark order: the same floating-point
+    // accumulation order at any thread count, so results are
+    // bit-identical; a failed leg simply contributes nothing to its
+    // size.
     for (std::size_t b = 0; b < suite.grid.size(); ++b) {
         for (std::size_t s = 0; s < sizes.size(); ++s) {
             if (!suite.ok[b][s])
@@ -363,6 +280,20 @@ sweepSuiteAverageChecked(const std::vector<std::string> &benchmark_names,
         outcome.ok[s] = 1;
     }
     return outcome;
+}
+
+std::vector<SizeSweepPoint>
+sweepSuiteAverage(const std::vector<std::string> &benchmark_names,
+                  Count refs, const std::vector<std::uint64_t> &sizes,
+                  std::uint32_t line_bytes,
+                  const DynamicExclusionConfig &config, bool data_refs,
+                  bool mixed_refs, ReplayEngine engine)
+{
+    SuiteAverageOutcome outcome = sweepSuiteAverageChecked(
+        benchmark_names, refs, sizes, line_bytes, config, data_refs,
+        mixed_refs, engine);
+    throwFirstFailure(outcome);
+    return std::move(outcome.points);
 }
 
 std::vector<LineSweepPoint>

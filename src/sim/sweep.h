@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "cache/dynamic_exclusion.h"
-#include "sim/batch.h"
+#include "sim/kernel.h"
 #include "sim/parallel.h"
 #include "sim/runner.h"
 #include "trace/trace.h"
@@ -52,31 +52,6 @@ struct SizeSweepPoint
 };
 
 /**
- * Run the three-way comparison over @p sizes on one trace.
- * A single RunStart next-use index at @p line_bytes is built once.
- * With the default Batched engine the trace is streamed once for all
- * sizes and models; PerLeg replays per (size, model) leg. Both produce
- * bit-identical results at any thread count.
- */
-std::vector<SizeSweepPoint> sweepSizes(
-    const Trace &trace, const std::vector<std::uint64_t> &sizes,
-    std::uint32_t line_bytes, const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Batched);
-
-/**
- * sweepSizes with a caller-supplied next-use oracle: @p index must be
- * a RunStart index over @p trace at @p line_bytes granularity. The
- * serving subsystem passes the TraceStore's cached index here so a
- * warm request skips the build entirely; results are bit-identical to
- * the index-building overload.
- */
-std::vector<SizeSweepPoint> sweepSizes(
-    const Trace &trace, const NextUseIndex &index,
-    const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
-    const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Batched);
-
-/**
  * A fault-tolerant size sweep's result: every requested size has a
  * point (with its sizeBytes filled in), but points[s] carries real
  * miss rates only when ok[s]; the statuses of failed legs are listed
@@ -92,48 +67,54 @@ struct SizeSweepOutcome
 };
 
 /**
- * The fault-tolerant form of sweepSizes: a failing leg (including one
- * injected via the sweep fault hook) is recorded instead of
- * propagating, and every other leg completes bit-identical to an
- * unfaulted run at any worker count.
+ * Run the three-way comparison over @p sizes on one trace. A single
+ * RunStart next-use index at @p line_bytes is built once. The kernel
+ * streams the trace once for all sizes and models; PerLeg replays per
+ * (size, model) leg. Both produce bit-identical results at any thread
+ * count.
+ *
+ * A failing leg (including one injected via the sweep fault hook) is
+ * recorded instead of propagating, and every other leg completes
+ * bit-identical to an unfaulted run at any worker count.
  */
 SizeSweepOutcome sweepSizesChecked(
     const Trace &trace, const std::vector<std::uint64_t> &sizes,
     std::uint32_t line_bytes, const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
-/** sweepSizesChecked with a caller-supplied RunStart index at
- * @p line_bytes granularity (see the sweepSizes overload). */
+/**
+ * sweepSizesChecked with a caller-supplied next-use oracle: @p index
+ * must be a RunStart index over @p trace at @p line_bytes
+ * granularity. The serving subsystem passes the TraceStore's cached
+ * index here so a warm request skips the build entirely; results are
+ * bit-identical to the index-building overload.
+ */
 SizeSweepOutcome sweepSizesChecked(
     const Trace &trace, const NextUseIndex &index,
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
     const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
-/**
- * Suite-averaged size sweep: arithmetic mean of the per-benchmark miss
- * percentages at each size (the paper's "average ... across the SPEC
- * benchmarks").
- *
- * @param benchmark_names suite member names.
- * @param refs per-benchmark reference budget.
- * @param data_refs use the data stream instead of instruction fetches.
- * @param mixed_refs use the mixed I+D stream.
- * @param engine batched (one trace pass per benchmark) or per-leg.
- */
-std::vector<SizeSweepPoint> sweepSuiteAverage(
-    const std::vector<std::string> &benchmark_names, Count refs,
+/** sweepSizesChecked, throwing the first failed leg's Status as a
+ * StatusError. */
+std::vector<SizeSweepPoint> sweepSizes(
+    const Trace &trace, const std::vector<std::uint64_t> &sizes,
+    std::uint32_t line_bytes, const DynamicExclusionConfig &config = {},
+    ReplayEngine engine = ReplayEngine::Kernel);
+
+/** The caller-supplied-index sweepSizesChecked, throwing the first
+ * failed leg's Status as a StatusError. */
+std::vector<SizeSweepPoint> sweepSizes(
+    const Trace &trace, const NextUseIndex &index,
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
-    const DynamicExclusionConfig &config = {}, bool data_refs = false,
-    bool mixed_refs = false,
-    ReplayEngine engine = ReplayEngine::Batched);
+    const DynamicExclusionConfig &config = {},
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 /**
  * A fault-tolerant suite average: points[s] averages the benchmarks
  * whose leg at sizes[s] succeeded (contributors[s] of them, in input
- * order — the same accumulation order as the unfaulted reduction);
- * ok[s] is false when no benchmark contributed. Per-leg failures are
- * listed in failures.
+ * order), and ok[s] is false when no benchmark contributed. Per-leg
+ * failures are listed in failures.
  */
 struct SuiteAverageOutcome
 {
@@ -145,13 +126,33 @@ struct SuiteAverageOutcome
     bool allOk() const { return failures.empty(); }
 };
 
-/** The fault-tolerant form of sweepSuiteAverage. */
+/**
+ * Suite-averaged size sweep: arithmetic mean of the per-benchmark miss
+ * percentages at each size (the paper's "average ... across the SPEC
+ * benchmarks"), reduced serially in benchmark order, so results are
+ * bit-identical at any thread count.
+ *
+ * @param benchmark_names suite member names.
+ * @param refs per-benchmark reference budget.
+ * @param data_refs use the data stream instead of instruction fetches.
+ * @param mixed_refs use the mixed I+D stream.
+ * @param engine the kernel (one trace pass per benchmark) or per-leg.
+ */
 SuiteAverageOutcome sweepSuiteAverageChecked(
     const std::vector<std::string> &benchmark_names, Count refs,
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
     const DynamicExclusionConfig &config = {}, bool data_refs = false,
     bool mixed_refs = false,
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
+
+/** sweepSuiteAverageChecked, throwing the first failed leg's Status
+ * as a StatusError. */
+std::vector<SizeSweepPoint> sweepSuiteAverage(
+    const std::vector<std::string> &benchmark_names, Count refs,
+    const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
+    const DynamicExclusionConfig &config = {}, bool data_refs = false,
+    bool mixed_refs = false,
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 /** One (line size, triad) point at fixed capacity. */
 struct LineSweepPoint
@@ -170,7 +171,7 @@ std::vector<LineSweepPoint> sweepSuiteLineSizes(
     const std::vector<std::string> &benchmark_names, Count refs,
     std::uint64_t size_bytes, const std::vector<std::uint32_t> &lines,
     const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Batched);
+    ReplayEngine engine = ReplayEngine::Kernel);
 
 } // namespace dynex
 

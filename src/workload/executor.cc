@@ -129,8 +129,7 @@ runRemote(const CampaignSpec &spec, const CampaignOptions &options,
             server::SweepRequest request;
             request.trace = wireName;
             request.lineBytes = line;
-            request.engine =
-                static_cast<std::uint8_t>(spec.engine);
+            request.engine = replayEngineWireCode(spec.engine);
             request.stickyMax = spec.stickyMax;
             request.deadlineMs = options.deadlineMs;
             request.sizes = spec.sizes;
@@ -171,20 +170,6 @@ runRemote(const CampaignSpec &spec, const CampaignOptions &options,
 }
 
 } // namespace
-
-const char *
-replayEngineName(ReplayEngine engine)
-{
-    switch (engine) {
-      case ReplayEngine::Batched:
-        return "batched";
-      case ReplayEngine::PerLeg:
-        return "per-leg";
-      case ReplayEngine::Kernel:
-        return "kernel";
-    }
-    return "batched";
-}
 
 Result<Trace>
 resolveSource(const TraceSource &source, Count refs)

@@ -42,9 +42,8 @@ struct CampaignOptions
     std::string clientId = "campaign";
 };
 
-/** The wire/engine name of a replay engine ("batched", "per-leg",
- * "kernel"). */
-const char *replayEngineName(ReplayEngine engine);
+/** The engine name a campaign report prints ("kernel", "per-leg"). */
+using dynex::replayEngineName;
 
 /**
  * Resolve one trace source into a Trace named after its label. Bench

@@ -301,6 +301,21 @@ TEST(Dxp1Bodies, SweepRequestAcceptsEveryEngineAndRejectsUnknown)
     EXPECT_EQ(rejected.status().code(), StatusCode::CorruptInput);
 }
 
+TEST(Dxp1Bodies, EngineByteZeroDecodesAsTheKernel)
+{
+    // Byte 0 named the retired batched engine; its frames still parse
+    // and select the kernel, while encoders send the kernel's own byte.
+    SweepRequest request;
+    request.trace = "espresso";
+    request.engine = 0;
+    const auto parsed = parseSweepRequest(encodeSweepRequest(request));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    EXPECT_EQ(replayEngineFromWireCode(parsed.value().engine),
+              ReplayEngine::Kernel);
+    EXPECT_EQ(replayEngineWireCode(ReplayEngine::Kernel), 2);
+    EXPECT_EQ(replayEngineWireCode(ReplayEngine::PerLeg), 1);
+}
+
 TEST(Dxp1Bodies, SweepRequestCustomAxisRoundTrips)
 {
     SweepRequest request;

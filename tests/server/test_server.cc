@@ -165,11 +165,8 @@ TEST(ServerEndToEnd, SweepsAreBitIdenticalToLocalAtAnyWorkerCount)
 
     for (const std::uint8_t wireEngine : {0, 1, 2})
     {
-        const ReplayEngine engine = wireEngine == 0
-                                        ? ReplayEngine::Batched
-                                    : wireEngine == 1
-                                        ? ReplayEngine::PerLeg
-                                        : ReplayEngine::Kernel;
+        // Byte 0, the retired batched engine, runs the kernel.
+        const ReplayEngine engine = *replayEngineFromWireCode(wireEngine);
         ThreadPool::setConfiguredWorkers(1);
         const SizeSweepOutcome expected = sweepSizesChecked(
             local, index, paperCacheSizes(), kLine, config, engine);

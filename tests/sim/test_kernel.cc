@@ -1,14 +1,12 @@
 /**
- * @file
  * Equivalence tests of the SoA replay kernel: every statistic and FSM
- * event count must be EXPECT_EQ-exact against the batched engine (and
- * therefore the per-leg engine) across line sizes, DE configurations,
+ * event count must be EXPECT_EQ-exact against the per-leg object
+ * models across line sizes, DE configurations, both hit-last lanes,
  * worker counts, checked/unchecked paths, and both dispatch ISAs.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/batch.h"
 #include "sim/kernel.h"
 #include "sim/sweep.h"
 #include "util/rng.h"
@@ -32,33 +30,48 @@ struct ScalarGuard
 };
 
 void
-expectStatsEq(const CacheStats &kernel, const CacheStats &batched,
+expectStatsEq(const CacheStats &kernel, const CacheStats &reference,
               const std::string &label)
 {
-    EXPECT_EQ(kernel.accesses, batched.accesses) << label;
-    EXPECT_EQ(kernel.hits, batched.hits) << label;
-    EXPECT_EQ(kernel.misses, batched.misses) << label;
-    EXPECT_EQ(kernel.coldMisses, batched.coldMisses) << label;
-    EXPECT_EQ(kernel.fills, batched.fills) << label;
-    EXPECT_EQ(kernel.bypasses, batched.bypasses) << label;
-    EXPECT_EQ(kernel.evictions, batched.evictions) << label;
+    EXPECT_EQ(kernel.accesses, reference.accesses) << label;
+    EXPECT_EQ(kernel.hits, reference.hits) << label;
+    EXPECT_EQ(kernel.misses, reference.misses) << label;
+    EXPECT_EQ(kernel.coldMisses, reference.coldMisses) << label;
+    EXPECT_EQ(kernel.fills, reference.fills) << label;
+    EXPECT_EQ(kernel.bypasses, reference.bypasses) << label;
+    EXPECT_EQ(kernel.evictions, reference.evictions) << label;
 }
 
 void
-expectTriadEq(const TriadResult &kernel, const TriadResult &batched,
+expectTriadEq(const TriadResult &kernel, const TriadResult &reference,
               const std::string &label)
 {
-    expectStatsEq(kernel.dm, batched.dm, "dm " + label);
-    expectStatsEq(kernel.de, batched.de, "de " + label);
-    expectStatsEq(kernel.opt, batched.opt, "opt " + label);
+    expectStatsEq(kernel.dm, reference.dm, "dm " + label);
+    expectStatsEq(kernel.de, reference.de, "de " + label);
+    expectStatsEq(kernel.opt, reference.opt, "opt " + label);
     for (std::size_t e = 0; e < 5; ++e)
         EXPECT_EQ(kernel.deEvents.byEvent[e],
-                  batched.deEvents.byEvent[e])
+                  reference.deEvents.byEvent[e])
             << label << " event " << e;
 }
 
-/** A conflict-heavy loopy trace with a pseudo-random data sprinkle
- * (same generator shape as the batch-engine tests). */
+/** Every leg of @p kernel against a per-leg runTriad reference. */
+void
+expectMatchesPerLeg(const std::vector<TriadResult> &kernel,
+                    const Trace &trace, const NextUseIndex &index,
+                    const std::vector<std::uint64_t> &sizes,
+                    std::uint32_t line,
+                    const DynamicExclusionConfig &config,
+                    const std::string &label)
+{
+    ASSERT_EQ(kernel.size(), sizes.size());
+    for (std::size_t s = 0; s < sizes.size(); ++s)
+        expectTriadEq(kernel[s],
+                      runTriad(trace, index, sizes[s], line, config),
+                      label + " size " + std::to_string(sizes[s]));
+}
+
+/** A conflict-heavy loopy trace with a pseudo-random data sprinkle. */
 Trace
 kernelTrace(std::size_t refs, std::uint64_t seed = 0x8a7c3)
 {
@@ -76,6 +89,9 @@ kernelTrace(std::size_t refs, std::uint64_t seed = 0x8a7c3)
     return trace;
 }
 
+// The "Batch" in this and two other test names is the retired batched
+// engine, which the kernel used to be compared against; the per-leg
+// models it was bit-identical to are the reference now.
 TEST(KernelReplay, MatchesBatchAtEverySizeAndLine)
 {
     const Trace trace = kernelTrace(30000);
@@ -85,15 +101,9 @@ TEST(KernelReplay, MatchesBatchAtEverySizeAndLine)
         const NextUseIndex index(trace, line, NextUseMode::RunStart);
         DynamicExclusionConfig config;
         config.useLastLine = line > 4;
-        const auto kernel =
-            replayTriadKernel(trace, index, sizes, line, config);
-        const auto batched =
-            replayTriadBatch(trace, index, sizes, line, config);
-        ASSERT_EQ(kernel.size(), sizes.size());
-        for (std::size_t s = 0; s < sizes.size(); ++s)
-            expectTriadEq(kernel[s], batched[s],
-                          "line " + std::to_string(line) + " size " +
-                              std::to_string(sizes[s]));
+        expectMatchesPerLeg(
+            replayTriadKernel(trace, index, sizes, line, config), trace,
+            index, sizes, line, config, "line " + std::to_string(line));
     }
 }
 
@@ -107,33 +117,94 @@ TEST(KernelReplay, MatchesBatchWithNonDefaultDeConfig)
     config.stickyMax = 3;
     config.useLastLine = true;
     config.initialHitLast = true;
-    const auto kernel =
-        replayTriadKernel(trace, index, sizes, line, config);
-    const auto batched =
-        replayTriadBatch(trace, index, sizes, line, config);
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        expectTriadEq(kernel[s], batched[s],
-                      "sticky3 size " + std::to_string(sizes[s]));
+    expectMatchesPerLeg(
+        replayTriadKernel(trace, index, sizes, line, config), trace,
+        index, sizes, line, config, "sticky3");
+}
+
+/**
+ * kernelTrace's loops with every fifth reference drawn from a pool of
+ * 64 blocks that runs up to exactly @p max_block at @p line
+ * granularity. The pool blocks recur and share sets with the loops,
+ * so their hit-last bits decide real conflicts, and they spread over
+ * the whole bitmap, so its pages are touched far apart.
+ */
+Trace
+boundaryTrace(Addr max_block, std::uint32_t line)
+{
+    Rng rng(0xb0d7 ^ max_block);
+    std::vector<Addr> pool = {max_block, max_block - 1, 0};
+    while (pool.size() < 64)
+        pool.push_back(rng.nextBelow(2) ? max_block - rng.nextBelow(4096)
+                                        : rng.nextBelow(max_block));
+    const Trace loops = kernelTrace(10000, 0xb0d7);
+    Trace trace("boundary");
+    trace.append(load(max_block * line));
+    for (std::size_t i = 0; i < loops.size(); ++i) {
+        trace.append(loops[i]);
+        if (i % 5 == 0)
+            trace.append(load(pool[rng.nextBelow(pool.size())] * line));
+    }
+    return trace;
 }
 
 TEST(KernelReplay, SparseBlocksFallBackToTheIdealStore)
 {
-    // Blocks far beyond the flat hit-last cap: the kernel must switch
-    // to the IdealHitLastStore fallback with identical values.
+    ThreadCountGuard guard;
+    // The flat hit-last bitmap covers blocks below 2^26 and only a
+    // cold-false start; a block at the cap, a cold-true start, or
+    // blocks far beyond it use the IdealHitLastStore lane, with
+    // identical values.
+    struct Case
+    {
+        std::string label;
+        Trace trace;
+        std::uint32_t line;
+        DynamicExclusionConfig config;
+    };
+    std::vector<Case> cases;
+    for (const Addr max_block : {(Addr{1} << 26) - 1, Addr{1} << 26}) {
+        for (const std::uint32_t line : {4u, 16u}) {
+            for (const bool initial : {false, true}) {
+                DynamicExclusionConfig config;
+                config.useLastLine = line > 4;
+                config.initialHitLast = initial;
+                cases.push_back({"max block " + std::to_string(max_block) +
+                                     " line " + std::to_string(line) +
+                                     " initial " + std::to_string(initial),
+                                 boundaryTrace(max_block, line), line,
+                                 config});
+            }
+        }
+    }
     Rng rng(0xfee1);
-    Trace trace("sparse");
+    Trace far("sparse");
     for (int i = 0; i < 8000; ++i) {
         const Addr page = rng.nextBelow(8) << 40;
-        trace.append(ifetch(page + 4 * rng.nextBelow(64)));
+        far.append(ifetch(page + 4 * rng.nextBelow(64)));
     }
-    const std::uint32_t line = 4;
-    const NextUseIndex index(trace, line, NextUseMode::RunStart);
+    cases.push_back({"far", far, 4, {}});
+
     const std::vector<std::uint64_t> sizes = {256, 4096};
-    const auto kernel = replayTriadKernel(trace, index, sizes, line);
-    const auto batched = replayTriadBatch(trace, index, sizes, line);
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        expectTriadEq(kernel[s], batched[s],
-                      "sparse size " + std::to_string(sizes[s]));
+    for (const unsigned workers : {1u, 8u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        ThreadPool::setConfiguredWorkers(workers);
+        // Concurrent passes, each mapping its own bitmaps.
+        std::vector<std::vector<TriadResult>> kernel(cases.size());
+        ThreadPool::global().parallelFor(cases.size(), [&](std::size_t c) {
+            const NextUseIndex index(cases[c].trace, cases[c].line,
+                                     NextUseMode::RunStart);
+            kernel[c] = replayTriadKernel(cases[c].trace, index, sizes,
+                                          cases[c].line, cases[c].config);
+        });
+        for (std::size_t c = 0; c < cases.size(); ++c) {
+            const NextUseIndex index(cases[c].trace, cases[c].line,
+                                     NextUseMode::RunStart);
+            expectMatchesPerLeg(kernel[c], cases[c].trace, index, sizes,
+                                cases[c].line, cases[c].config,
+                                cases[c].label);
+        }
+    }
 }
 
 TEST(KernelReplay, ScalarDispatchIsBitIdenticalToTheNaturalIsa)
@@ -173,19 +244,24 @@ TEST(KernelReplay, SweepSizesKernelIdenticalAcrossWorkerCounts)
     const std::vector<std::uint64_t> sizes = {256, 1024, 4096};
     ThreadPool::setConfiguredWorkers(1);
     const auto reference =
-        sweepSizes(trace, sizes, 4, {}, ReplayEngine::Batched);
+        sweepSizes(trace, sizes, 4, {}, ReplayEngine::PerLeg);
     for (const unsigned threads : {1u, 2u, 8u}) {
         ThreadPool::setConfiguredWorkers(threads);
-        const auto points =
-            sweepSizes(trace, sizes, 4, {}, ReplayEngine::Kernel);
-        ASSERT_EQ(points.size(), reference.size());
-        for (std::size_t s = 0; s < points.size(); ++s) {
-            EXPECT_EQ(points[s].dmMissPct, reference[s].dmMissPct)
-                << threads << " workers, point " << s;
-            EXPECT_EQ(points[s].deMissPct, reference[s].deMissPct)
-                << threads << " workers, point " << s;
-            EXPECT_EQ(points[s].optMissPct, reference[s].optMissPct)
-                << threads << " workers, point " << s;
+        for (const ReplayEngine engine :
+             {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
+            const auto points = sweepSizes(trace, sizes, 4, {}, engine);
+            ASSERT_EQ(points.size(), reference.size());
+            for (std::size_t s = 0; s < points.size(); ++s) {
+                EXPECT_EQ(points[s].dmMissPct, reference[s].dmMissPct)
+                    << replayEngineName(engine) << ", " << threads
+                    << " workers, point " << s;
+                EXPECT_EQ(points[s].deMissPct, reference[s].deMissPct)
+                    << replayEngineName(engine) << ", " << threads
+                    << " workers, point " << s;
+                EXPECT_EQ(points[s].optMissPct, reference[s].optMissPct)
+                    << replayEngineName(engine) << ", " << threads
+                    << " workers, point " << s;
+            }
         }
     }
 }
@@ -199,7 +275,7 @@ TEST(KernelReplay, SuiteSweepsIdenticalCheckedAndUncheckedAllWorkers)
     ThreadPool::setConfiguredWorkers(1);
     const auto reference = sweepSuiteAverage(
         names, 30000, sizes, 4, {}, false, false,
-        ReplayEngine::Batched);
+        ReplayEngine::PerLeg);
     for (const unsigned threads : {1u, 2u, 8u}) {
         ThreadPool::setConfiguredWorkers(threads);
         const auto kernel =
@@ -234,18 +310,25 @@ TEST(KernelReplay, LineSweepKernelMatchesBatch)
 {
     ThreadCountGuard guard;
     const std::vector<std::string> names = {"tomcatv"};
-    ThreadPool::setConfiguredWorkers(2);
-    const auto batched =
+    ThreadPool::setConfiguredWorkers(1);
+    const auto reference =
         sweepSuiteLineSizes(names, 30000, 16 * 1024, {4, 16, 64}, {},
-                            ReplayEngine::Batched);
-    const auto kernel =
-        sweepSuiteLineSizes(names, 30000, 16 * 1024, {4, 16, 64}, {},
-                            ReplayEngine::Kernel);
-    ASSERT_EQ(kernel.size(), batched.size());
-    for (std::size_t l = 0; l < kernel.size(); ++l) {
-        EXPECT_EQ(kernel[l].dmMissPct, batched[l].dmMissPct);
-        EXPECT_EQ(kernel[l].deMissPct, batched[l].deMissPct);
-        EXPECT_EQ(kernel[l].optMissPct, batched[l].optMissPct);
+                            ReplayEngine::PerLeg);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        ThreadPool::setConfiguredWorkers(threads);
+        const auto kernel =
+            sweepSuiteLineSizes(names, 30000, 16 * 1024, {4, 16, 64},
+                                {}, ReplayEngine::Kernel);
+        ASSERT_EQ(kernel.size(), reference.size());
+        for (std::size_t l = 0; l < kernel.size(); ++l) {
+            EXPECT_EQ(kernel[l].lineBytes, reference[l].lineBytes);
+            EXPECT_EQ(kernel[l].dmMissPct, reference[l].dmMissPct)
+                << threads << " workers, line " << l;
+            EXPECT_EQ(kernel[l].deMissPct, reference[l].deMissPct)
+                << threads << " workers, line " << l;
+            EXPECT_EQ(kernel[l].optMissPct, reference[l].optMissPct)
+                << threads << " workers, line " << l;
+        }
     }
 }
 
@@ -289,6 +372,25 @@ TEST(KernelReplay, IsaNamesAreStable)
 {
     EXPECT_STREQ(kernelIsaName(KernelIsa::Scalar), "scalar");
     EXPECT_STREQ(kernelIsaName(KernelIsa::Avx2), "avx2");
+}
+
+TEST(ReplayEngineNames, ParseNameAndWireCodeAgree)
+{
+    for (const ReplayEngine engine :
+         {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
+        EXPECT_EQ(parseReplayEngine(replayEngineName(engine)), engine);
+        EXPECT_EQ(replayEngineFromWireCode(replayEngineWireCode(engine)),
+                  engine);
+    }
+    EXPECT_STREQ(replayEngineName(ReplayEngine::Kernel), "kernel");
+    EXPECT_STREQ(replayEngineName(ReplayEngine::PerLeg), "per-leg");
+    // The retired batched engine's name and byte select the kernel.
+    EXPECT_EQ(parseReplayEngine("batched"), ReplayEngine::Kernel);
+    EXPECT_EQ(parseReplayEngine("Kernel"), ReplayEngine::Kernel);
+    EXPECT_EQ(replayEngineFromWireCode(0), ReplayEngine::Kernel);
+    EXPECT_FALSE(parseReplayEngine("warp").has_value());
+    EXPECT_FALSE(parseReplayEngine("").has_value());
+    EXPECT_FALSE(replayEngineFromWireCode(3).has_value());
 }
 
 } // namespace

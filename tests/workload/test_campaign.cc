@@ -93,7 +93,7 @@ TEST(CampaignParse, MinimalSpecGetsTheDefaults)
               (std::vector<std::string>{"dm", "dynex", "opt"}));
     EXPECT_EQ(c.sizes, paperCacheSizes());
     EXPECT_EQ(c.lines, (std::vector<std::uint32_t>{16}));
-    EXPECT_EQ(c.engine, ReplayEngine::Batched);
+    EXPECT_EQ(c.engine, ReplayEngine::Kernel);
     EXPECT_EQ(c.stickyMax, 1);
     EXPECT_EQ(c.refs, 0u);
     EXPECT_TRUE(c.jsonOut.empty());

@@ -37,6 +37,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +45,7 @@
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "server/client.h"
+#include "sim/kernel.h"
 #include "util/rng.h"
 #include "util/string_utils.h"
 #include "util/table.h"
@@ -74,7 +76,7 @@ struct Options
     MixWeights mix;
     std::string trace = "espresso";
     std::uint32_t lineBytes = 4;
-    std::uint8_t engine = 0; // 0 batched, 1 per-leg, 2 kernel
+    ReplayEngine engine = ReplayEngine::Kernel;
     std::uint64_t seed = 1992;
     unsigned retries = 0;
     std::uint32_t backoffMs = 50;
@@ -103,7 +105,8 @@ usage()
         "                     (default espresso)\n"
         "  --line L           line bytes for sweep requests\n"
         "                     (default 4)\n"
-        "  --replay E         sweep engine: batched|per-leg|kernel\n"
+        "  --replay E         sweep engine: kernel (default) or\n"
+        "                     per-leg; batched = kernel\n"
         "  --seed S           arrival/jitter seed (default 1992)\n"
         "  --retries N        per-request retry attempts\n"
         "  --backoff-ms N     base retry backoff (default 50)\n"
@@ -250,7 +253,7 @@ workerMain(const Options &options, unsigned index,
             server::SweepRequest request;
             request.trace = options.trace;
             request.lineBytes = options.lineBytes;
-            request.engine = options.engine;
+            request.engine = replayEngineWireCode(options.engine);
             request.deadlineMs = options.deadlineMs;
             status = client.sweep(request).status();
             break;
@@ -409,18 +412,17 @@ main(int argc, char **argv)
                 std::strtoul(v, nullptr, 10));
         else if (flag == "--replay")
         {
-            if (iequals(v, "batched"))
-                options.engine = 0;
-            else if (iequals(v, "per-leg"))
-                options.engine = 1;
-            else if (iequals(v, "kernel"))
-                options.engine = 2;
-            else
+            const std::optional<ReplayEngine> engine =
+                parseReplayEngine(v);
+            if (!engine)
             {
                 std::fprintf(stderr,
-                             "dynex_loadgen: bad --replay '%s'\n", v);
+                             "dynex_loadgen: bad --replay '%s' (valid "
+                             "engines: %s)\n",
+                             v, kReplayEngineNames);
                 return 2;
             }
+            options.engine = *engine;
         }
         else if (flag == "--seed")
             options.seed = std::strtoull(v, nullptr, 10);

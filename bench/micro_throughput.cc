@@ -17,6 +17,7 @@
 #include "cache/optimal.h"
 #include "cache/set_assoc.h"
 #include "cache/victim.h"
+#include "hierarchy_sweep.h"
 #include "obs/metrics.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
@@ -206,6 +207,30 @@ BM_ReplayTemplated(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * trace.size()));
 }
 BENCHMARK(BM_ReplayTemplated);
+
+void
+BM_HierarchyReplay(benchmark::State &state, std::size_t leg)
+{
+    // One Figures 7-9 grid leg: a fresh 32KB-L1 hierarchy with an L2
+    // state.range(0) times larger replays a suite stream from cold,
+    // construction included, as hierarchySweep() runs each leg.
+    static const auto trace = Workloads::instructions("gcc", 100'000);
+    const HierarchyConfig config = bench::hierarchyConfig(
+        static_cast<std::uint64_t>(state.range(0)),
+        bench::kHierarchyLegs[leg]);
+    for (auto _ : state) {
+        TwoLevelCache hierarchy(config);
+        benchmark::DoNotOptimize(runTrace(hierarchy, *trace));
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * trace->size()));
+}
+// One case per bench::kHierarchyLegs entry, in its order.
+BENCHMARK_CAPTURE(BM_HierarchyReplay, dm, 0)->Arg(1)->Arg(64);
+BENCHMARK_CAPTURE(BM_HierarchyReplay, assume_hit, 1)->Arg(1)->Arg(64);
+BENCHMARK_CAPTURE(BM_HierarchyReplay, assume_miss, 2)->Arg(1)->Arg(64);
+BENCHMARK_CAPTURE(BM_HierarchyReplay, hashed, 3)->Arg(1)->Arg(64);
+BENCHMARK_CAPTURE(BM_HierarchyReplay, ideal, 4)->Arg(1)->Arg(64);
 
 void
 runSuiteSweepBenchmark(benchmark::State &state, ReplayEngine engine,

@@ -73,7 +73,15 @@ class CacheModel
     explicit CacheModel(const CacheGeometry &geometry) : geo(geometry)
     {
         geo.validate();
+        blockShift = geo.lineShift();
+        setMask = geo.numSets() - 1;
     }
+
+    /** @return @p addr's block number, off the cached line shift. */
+    Addr blockOf(Addr addr) const { return addr >> blockShift; }
+
+    /** @return @p block's set index, off the cached set mask. */
+    std::uint64_t setOfBlock(Addr block) const { return block & setMask; }
 
     /** Model-specific access behavior; stats are handled by access(). */
     virtual AccessOutcome doAccess(const MemRef &ref, Tick tick) = 0;
@@ -105,6 +113,10 @@ class CacheModel
     void resetStats() { statsData.reset(); }
 
     CacheGeometry geo;
+    // Cached off geo at construction so per-access paths do no
+    // division (numSets() divides twice).
+    unsigned blockShift = 0; ///< log2(lineBytes)
+    Addr setMask = 0;        ///< numSets - 1
 
   private:
     CacheStats statsData;

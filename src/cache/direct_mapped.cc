@@ -13,7 +13,6 @@ DirectMappedCache::DirectMappedCache(const CacheGeometry &geometry)
                  geometry.ways);
     tags.assign(geo.numLines(), 0);
     valid.assign(geo.numLines(), false);
-    setMask = geo.numSets() - 1;
 }
 
 void
@@ -26,8 +25,9 @@ DirectMappedCache::reset()
 bool
 DirectMappedCache::contains(Addr addr) const
 {
-    const std::uint64_t set = geo.setOf(addr);
-    return valid[set] && tags[set] == geo.blockOf(addr);
+    const Addr block = blockOf(addr);
+    const std::uint64_t set = setOfBlock(block);
+    return valid[set] && tags[set] == block;
 }
 
 Addr
@@ -39,7 +39,7 @@ DirectMappedCache::residentBlock(std::uint64_t set) const
 AccessOutcome
 DirectMappedCache::doAccess(const MemRef &ref, Tick)
 {
-    return stepBlock(geo.blockOf(ref.addr));
+    return stepBlock(blockOf(ref.addr));
 }
 
 } // namespace dynex

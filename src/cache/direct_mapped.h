@@ -41,7 +41,7 @@ class DirectMappedCache final : public CacheModel
     AccessOutcome
     stepBlock(Addr block)
     {
-        const std::uint64_t set = block & setMask;
+        const std::uint64_t set = setOfBlock(block);
 
         AccessOutcome outcome;
         if (valid[set] && tags[set] == block) {
@@ -63,7 +63,6 @@ class DirectMappedCache final : public CacheModel
 
     std::vector<Addr> tags;   ///< resident block number per line
     std::vector<bool> valid;
-    Addr setMask = 0;         ///< numSets - 1, cached off the geometry
 };
 
 } // namespace dynex

@@ -18,7 +18,6 @@ DynamicExclusionCache::DynamicExclusionCache(
     DYNEX_ASSERT(cfg.stickyMax >= 1, "stickyMax must be at least 1");
     lines.resize(geo.numLines());
     idealHitLast = dynamic_cast<IdealHitLastStore *>(hitLast.get());
-    setMask = geo.numSets() - 1;
 }
 
 void
@@ -35,14 +34,15 @@ DynamicExclusionCache::reset()
 bool
 DynamicExclusionCache::contains(Addr addr) const
 {
-    const auto &line = lines[geo.setOf(addr)];
-    return line.valid && line.tag == geo.blockOf(addr);
+    const Addr block = blockOf(addr);
+    const auto &line = lines[setOfBlock(block)];
+    return line.valid && line.tag == block;
 }
 
 AccessOutcome
 DynamicExclusionCache::doAccess(const MemRef &ref, Tick)
 {
-    return stepBlock(geo.blockOf(ref.addr));
+    return stepBlock(blockOf(ref.addr));
 }
 
 } // namespace dynex

@@ -149,7 +149,7 @@ class DynamicExclusionCache final : public CacheModel
         if (cfg.useLastLine)
             lastBlock = block;
 
-        const std::uint64_t set = block & setMask;
+        const std::uint64_t set = setOfBlock(block);
         const bool h = lookupHitLast(block);
         const FsmStep step =
             exclusionStep(lines[set], block, h, cfg.stickyMax);
@@ -176,7 +176,6 @@ class DynamicExclusionCache final : public CacheModel
     std::vector<ExclusionLine> lines;
     FsmEventCounts events;
     Addr lastBlock = kAddrInvalid;
-    Addr setMask = 0; ///< numSets - 1, cached off the geometry
 };
 
 } // namespace dynex

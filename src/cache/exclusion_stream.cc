@@ -41,8 +41,9 @@ ExclusionStreamCache::name() const
 bool
 ExclusionStreamCache::contains(Addr addr) const
 {
-    const auto &line = lines[geo.setOf(addr)];
-    return line.valid && line.tag == geo.blockOf(addr);
+    const Addr block = blockOf(addr);
+    const auto &line = lines[setOfBlock(block)];
+    return line.valid && line.tag == block;
 }
 
 bool
@@ -55,7 +56,7 @@ ExclusionStreamCache::inWindow(Addr block) const
 AccessOutcome
 ExclusionStreamCache::doAccess(const MemRef &ref, Tick)
 {
-    const Addr block = geo.blockOf(ref.addr);
+    const Addr block = blockOf(ref.addr);
 
     AccessOutcome outcome;
     if (block == lastBlock) {
@@ -65,7 +66,7 @@ ExclusionStreamCache::doAccess(const MemRef &ref, Tick)
     }
     lastBlock = block;
 
-    const std::uint64_t set = geo.setOf(ref.addr);
+    const std::uint64_t set = setOfBlock(block);
     auto &line = lines[set];
     const bool in_l1 = line.valid && line.tag == block;
     const bool buffered = inWindow(block);

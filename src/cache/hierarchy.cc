@@ -23,7 +23,8 @@ hitLastPolicyName(HitLastPolicy policy)
     return "unknown";
 }
 
-TwoLevelCache::TwoLevelCache(const HierarchyConfig &config) : cfg(config)
+TwoLevelCache::TwoLevelCache(const HierarchyConfig &config)
+    : cfg(config), kernel(selectKernel(config))
 {
     cfg.l1.validate();
     cfg.l2.validate();
@@ -33,23 +34,49 @@ TwoLevelCache::TwoLevelCache(const HierarchyConfig &config) : cfg(config)
                  "levels must share a line size (paper configuration)");
     DYNEX_ASSERT(cfg.stickyMax >= 1, "stickyMax must be at least 1");
 
+    lineShift = cfg.l1.lineShift();
+    l1Mask = cfg.l1.numSets() - 1;
+    l2Mask = cfg.l2.numSets() - 1;
     l1Lines.resize(cfg.l1.numLines());
     l2Lines = ZeroPageArray<L2Line>(cfg.l2.numLines());
 
-    switch (cfg.policy) {
-      case HitLastPolicy::Ideal:
-        sideStore = std::make_unique<IdealHitLastStore>(false);
-        break;
-      case HitLastPolicy::Hashed:
-        sideStore = std::make_unique<HashedHitLastStore>(
-            cfg.l1.numLines() * cfg.hashedEntriesPerLine, false);
-        break;
-      case HitLastPolicy::AssumeHit:
-      case HitLastPolicy::AssumeMiss:
-        break; // bits live in the L2 lines
-    }
+    if (cfg.l1DynamicExclusion && cfg.policy == HitLastPolicy::Ideal)
+        idealStore.emplace(false);
+    if (cfg.l1DynamicExclusion && cfg.policy == HitLastPolicy::Hashed)
+        hashedStore.emplace(cfg.l1.numLines() * cfg.hashedEntriesPerLine,
+                            false);
     if (cfg.l2DynamicExclusion)
-        l2HitLast = std::make_unique<IdealHitLastStore>(false);
+        l2HitLast.emplace(false);
+}
+
+template <bool DynexL1, HitLastPolicy P, bool LastLine>
+TwoLevelCache::Kernel
+TwoLevelCache::kernelFor()
+{
+    return {&TwoLevelCache::step<DynexL1, P, LastLine>,
+            &TwoLevelCache::replayLoop<DynexL1, P, LastLine>};
+}
+
+TwoLevelCache::Kernel
+TwoLevelCache::selectKernel(const HierarchyConfig &config)
+{
+    const auto pick = [&]<bool LastLine>() -> Kernel {
+        if (!config.l1DynamicExclusion)
+            return kernelFor<false, HitLastPolicy::Ideal, LastLine>();
+        switch (config.policy) {
+          case HitLastPolicy::Ideal:
+            return kernelFor<true, HitLastPolicy::Ideal, LastLine>();
+          case HitLastPolicy::Hashed:
+            return kernelFor<true, HitLastPolicy::Hashed, LastLine>();
+          case HitLastPolicy::AssumeHit:
+            return kernelFor<true, HitLastPolicy::AssumeHit, LastLine>();
+          case HitLastPolicy::AssumeMiss:
+            return kernelFor<true, HitLastPolicy::AssumeMiss, LastLine>();
+        }
+        DYNEX_PANIC("unknown hit-last policy");
+    };
+    return config.useLastLine ? pick.template operator()<true>()
+                              : pick.template operator()<false>();
 }
 
 void
@@ -59,8 +86,10 @@ TwoLevelCache::reset()
         line = ExclusionLine{};
     for (auto &line : l2Lines)
         line = L2Line{};
-    if (sideStore)
-        sideStore->reset();
+    if (idealStore)
+        idealStore->reset();
+    if (hashedStore)
+        hashedStore->reset();
     if (l2HitLast)
         l2HitLast->reset();
     statsData = HierarchyStats{};
@@ -81,47 +110,23 @@ TwoLevelCache::name() const
 bool
 TwoLevelCache::l1Contains(Addr addr) const
 {
-    const auto &line = l1Lines[cfg.l1.setOf(addr)];
-    return line.valid && line.tag == cfg.l1.blockOf(addr);
+    const Addr block = addr >> lineShift;
+    const auto &line = l1Lines[block & l1Mask];
+    return line.valid && line.tag == block;
 }
 
 bool
 TwoLevelCache::l2Contains(Addr addr) const
 {
-    const auto &line = l2Lines[cfg.l2.setOf(addr)];
-    return line.valid && line.tag == cfg.l2.blockOf(addr);
-}
-
-bool
-TwoLevelCache::lookupHitLast(Addr block, bool l2_hit) const
-{
-    switch (cfg.policy) {
-      case HitLastPolicy::Ideal:
-      case HitLastPolicy::Hashed:
-        return sideStore->lookup(block);
-      case HitLastPolicy::AssumeHit:
-        return l2_hit ? l2Lines[block & (cfg.l2.numSets() - 1)].hitLast
-                      : true;
-      case HitLastPolicy::AssumeMiss:
-        return l2_hit ? l2Lines[block & (cfg.l2.numSets() - 1)].hitLast
-                      : false;
-    }
-    return false;
-}
-
-void
-TwoLevelCache::updateHitLast(Addr block, bool value)
-{
-    if (sideStore)
-        sideStore->update(block, value);
-    // For the in-L2 policies the resident copy in the L1 line is
-    // authoritative and is transferred on eviction; nothing to do here.
+    const Addr block = addr >> lineShift;
+    const auto &line = l2Lines[block & l2Mask];
+    return line.valid && line.tag == block;
 }
 
 void
 TwoLevelCache::installL2(Addr block, bool hit_last, bool forced)
 {
-    auto &line = l2Lines[block & (cfg.l2.numSets() - 1)];
+    auto &line = l2Lines[block & l2Mask];
 
     if (!forced && cfg.l2DynamicExclusion && line.valid &&
         line.tag != block) {
@@ -145,13 +150,13 @@ TwoLevelCache::installL2(Addr block, bool hit_last, bool forced)
     ++statsData.l2.fills;
 }
 
+template <bool DynexL1, HitLastPolicy P, bool LastLine>
 void
-TwoLevelCache::access(const MemRef &ref, Tick)
+TwoLevelCache::step(Addr block)
 {
-    const Addr block = cfg.l1.blockOf(ref.addr);
     ++statsData.l1.accesses;
 
-    if (cfg.useLastLine) {
+    if constexpr (LastLine) {
         if (block == lastBlock) {
             ++statsData.l1.hits;
             return;
@@ -159,19 +164,26 @@ TwoLevelCache::access(const MemRef &ref, Tick)
         lastBlock = block;
     }
 
-    auto &l1 = l1Lines[block & (cfg.l1.numSets() - 1)];
+    auto &l1 = l1Lines[block & l1Mask];
     if (l1.valid && l1.tag == block) {
         ++statsData.l1.hits;
-        l1.sticky = cfg.stickyMax;
-        l1.hitLastCopy = true;
-        updateHitLast(block, true);
+        if constexpr (DynexL1) {
+            l1.sticky = cfg.stickyMax;
+            l1.hitLastCopy = true;
+            if constexpr (P == HitLastPolicy::Ideal)
+                idealStore->update(block, true);
+            else if constexpr (P == HitLastPolicy::Hashed)
+                hashedStore->update(block, true);
+            // For the in-L2 policies the resident copy in the L1 line
+            // is authoritative and is transferred on eviction.
+        }
         return;
     }
 
     // L1 miss: probe L2.
     ++statsData.l1.misses;
     ++statsData.l2.accesses;
-    auto &l2 = l2Lines[block & (cfg.l2.numSets() - 1)];
+    auto &l2 = l2Lines[block & l2Mask];
     const bool l2_hit = l2.valid && l2.tag == block;
     if (l2_hit) {
         ++statsData.l2.hits;
@@ -183,7 +195,7 @@ TwoLevelCache::access(const MemRef &ref, Tick)
         ++statsData.l2.misses;
     }
 
-    if (!cfg.l1DynamicExclusion) {
+    if constexpr (!DynexL1) {
         // Conventional baseline: allocate-on-miss at both levels
         // (inclusive).
         if (l1.valid)
@@ -196,41 +208,69 @@ TwoLevelCache::access(const MemRef &ref, Tick)
         if (!l2_hit)
             installL2(block, true, /*forced=*/false);
         return;
-    }
-
-    const bool h = lookupHitLast(block, l2_hit);
-    const FsmStep step = exclusionStep(l1, block, h, cfg.stickyMax);
-    if (step.newHitLast)
-        updateHitLast(block, *step.newHitLast);
-
-    if (step.allocated) {
-        ++statsData.l1.fills;
-        if (step.event == FsmEvent::ColdFill)
-            ++statsData.l1.coldMisses;
-        if (step.evicted) {
-            ++statsData.l1.evictions;
-            // The victim and its hit-last copy move down a level.
-            installL2(step.victimTag, step.victimHitLast);
-        }
-        if (!l2_hit && cfg.inclusiveL2()) {
-            installL2(block, step.newHitLast.value_or(true),
-                      /*forced=*/false);
-        } else if (l2_hit && !cfg.inclusiveL2()) {
-            // Exclusive-style promotion frees the L2 frame for other
-            // lines ("instructions do not need to be stored on both
-            // levels").
-            auto &promoted = l2Lines[block & (cfg.l2.numSets() - 1)];
-            if (promoted.valid && promoted.tag == block)
-                promoted.valid = false;
-        }
     } else {
-        // Bypass: the block stays below L1 (and in the last-line
-        // buffer); make sure L2 holds it so the next reference does
-        // not go to memory.
-        ++statsData.l1.bypasses;
-        if (!l2_hit)
-            installL2(block, false, /*forced=*/false);
+        // Whether memory fills allocate in L2 even when L1 stores the
+        // line. AssumeHit is inclusive (h bits must be findable in
+        // L2); the other policies are exclusive-style, letting L2 hold
+        // other lines.
+        constexpr bool kInclusiveL2 = P == HitLastPolicy::AssumeHit;
+
+        // The in-L2 policies default h on an L2 miss by their name.
+        bool h = P == HitLastPolicy::AssumeHit;
+        if constexpr (P == HitLastPolicy::Ideal)
+            h = idealStore->lookup(block);
+        else if constexpr (P == HitLastPolicy::Hashed)
+            h = hashedStore->lookup(block);
+        else if (l2_hit)
+            h = l2.hitLast;
+
+        const FsmStep fsm = exclusionStep(l1, block, h, cfg.stickyMax);
+        if (fsm.newHitLast) {
+            if constexpr (P == HitLastPolicy::Ideal)
+                idealStore->update(block, *fsm.newHitLast);
+            else if constexpr (P == HitLastPolicy::Hashed)
+                hashedStore->update(block, *fsm.newHitLast);
+        }
+
+        if (fsm.allocated) {
+            ++statsData.l1.fills;
+            if (fsm.event == FsmEvent::ColdFill)
+                ++statsData.l1.coldMisses;
+            if (fsm.evicted) {
+                ++statsData.l1.evictions;
+                // The victim and its hit-last copy move down a level.
+                installL2(fsm.victimTag, fsm.victimHitLast,
+                          /*forced=*/true);
+            }
+            if (!l2_hit && kInclusiveL2) {
+                installL2(block, fsm.newHitLast.value_or(true),
+                          /*forced=*/false);
+            } else if (l2_hit && !kInclusiveL2) {
+                // Exclusive-style promotion frees the L2 frame for
+                // other lines ("instructions do not need to be stored
+                // on both levels"). The victim install above may
+                // already have taken the frame.
+                if (l2.valid && l2.tag == block)
+                    l2.valid = false;
+            }
+        } else {
+            // Bypass: the block stays below L1 (and in the last-line
+            // buffer); make sure L2 holds it so the next reference
+            // does not go to memory.
+            ++statsData.l1.bypasses;
+            if (!l2_hit)
+                installL2(block, false, /*forced=*/false);
+        }
     }
+}
+
+template <bool DynexL1, HitLastPolicy P, bool LastLine>
+void
+TwoLevelCache::replayLoop(const MemRef *refs, std::size_t n)
+{
+    const unsigned shift = lineShift;
+    for (std::size_t i = 0; i < n; ++i)
+        step<DynexL1, P, LastLine>(refs[i].addr >> shift);
 }
 
 } // namespace dynex

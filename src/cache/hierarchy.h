@@ -22,7 +22,8 @@
 #ifndef DYNEX_CACHE_HIERARCHY_H
 #define DYNEX_CACHE_HIERARCHY_H
 
-#include <memory>
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,17 +79,6 @@ struct HierarchyConfig
     /** For Hashed: hit-last table entries per L1 line (the paper finds
      * 4 sufficient). */
     std::uint32_t hashedEntriesPerLine = 4;
-
-    /**
-     * Allocate memory fills into L2 even when L1 stores the line.
-     * Defaults by policy: AssumeHit is inclusive (h bits must be
-     * findable in L2); Hashed/AssumeMiss are exclusive-style, letting
-     * L2 hold other lines. Exposed for the ablation bench.
-     */
-    bool inclusiveL2() const
-    {
-        return !l1DynamicExclusion || policy == HitLastPolicy::AssumeHit;
-    }
 };
 
 /** Statistics of one simulated hierarchy run. */
@@ -115,6 +105,13 @@ struct HierarchyStats
  * (optionally) at L1. Not a CacheModel: its two levels have distinct
  * statistics and the cross-level traffic (victim installs, h-bit
  * transfers) does not fit the single-cache interface.
+ *
+ * Every reference runs one templated step, specialized on the L1 kind,
+ * the hit-last policy and the last-line buffer. The constructor picks
+ * the specialization once; access() calls it per reference and
+ * replay() loops over it, so both run the same body with no
+ * per-reference policy switch, virtual store call or geometry
+ * division.
  */
 class TwoLevelCache
 {
@@ -122,7 +119,18 @@ class TwoLevelCache
     explicit TwoLevelCache(const HierarchyConfig &config);
 
     /** Present one reference; @p tick is its trace position. */
-    void access(const MemRef &ref, Tick tick);
+    void
+    access(const MemRef &ref, Tick)
+    {
+        (this->*kernel.step)(ref.addr >> lineShift);
+    }
+
+    /** Present @p n references in order, as n access() calls would. */
+    void
+    replay(const MemRef *refs, std::size_t n)
+    {
+        (this->*kernel.replay)(refs, n);
+    }
 
     /** Invalidate everything and zero counters. */
     void reset();
@@ -148,28 +156,53 @@ class TwoLevelCache
         std::uint8_t sticky = 0; ///< used when l2DynamicExclusion
     };
 
-    /** Look up h[block] according to the configured policy.
-     * @param l2_hit whether the block is currently in L2. */
-    bool lookupHitLast(Addr block, bool l2_hit) const;
+    /** The step and loop specialized for one configuration. */
+    struct Kernel
+    {
+        void (TwoLevelCache::*step)(Addr block);
+        void (TwoLevelCache::*replay)(const MemRef *refs, std::size_t n);
+    };
 
-    /** Record h[block] for policies with L1-side tables. */
-    void updateHitLast(Addr block, bool value);
+    /** @return the specialization @p config runs. */
+    static Kernel selectKernel(const HierarchyConfig &config);
+
+    template <bool DynexL1, HitLastPolicy P, bool LastLine>
+    static Kernel kernelFor();
+
+    /**
+     * One reference to @p block. P names where h bits live when
+     * DynexL1; the conventional L1 reads none and runs with P = Ideal.
+     */
+    template <bool DynexL1, HitLastPolicy P, bool LastLine>
+    void step(Addr block);
+
+    template <bool DynexL1, HitLastPolicy P, bool LastLine>
+    void replayLoop(const MemRef *refs, std::size_t n);
 
     /** Install @p block into L2 (used for fills and victim installs).
      * @param forced victim installs bypass the L2 FSM. */
-    void installL2(Addr block, bool hit_last, bool forced = true);
+    void installL2(Addr block, bool hit_last, bool forced);
 
     HierarchyConfig cfg;
+    Kernel kernel;
+    // Geometry cached off cfg: the per-reference path reads only these.
+    unsigned lineShift = 0;
+    Addr l1Mask = 0; ///< L1 numSets - 1
+    Addr l2Mask = 0; ///< L2 numSets - 1
+
     std::vector<ExclusionLine> l1Lines;
     /**
      * On anonymous zero pages: at large L2/L1 ratios the array runs to
      * megabytes, and resident memory should follow the sets a trace
      * touches. Sanitizers do not guard mapped pages, so bounds rest on
-     * every index being masked, block & (numSets - 1).
+     * every index being masked, block & l2Mask.
      */
     ZeroPageArray<L2Line> l2Lines;
-    std::unique_ptr<HitLastStore> sideStore; ///< Ideal/Hashed policies
-    std::unique_ptr<HitLastStore> l2HitLast; ///< l2DynamicExclusion
+    // h bits beside L1, engaged only for a dynamic-exclusion L1 under
+    // the Ideal or Hashed policy; the conventional L1 keeps none.
+    std::optional<IdealHitLastStore> idealStore;
+    std::optional<HashedHitLastStore> hashedStore;
+    std::optional<IdealHitLastStore> l2HitLast; ///< l2DynamicExclusion
     HierarchyStats statsData;
     Addr lastBlock = kAddrInvalid;
 };

@@ -7,7 +7,7 @@ namespace dynex
 {
 
 void
-IdealHitLastStore::update(Addr block, bool value)
+IdealHitLastStore::updateSlow(Addr block, bool value)
 {
     const Addr top = block >> kLeafBits;
     if (top >= kMaxDirectLeaves) {
@@ -21,12 +21,7 @@ IdealHitLastStore::update(Addr block, bool value)
         leaf = std::make_unique<Leaf>();
         leaf->fill(initialValue ? ~std::uint64_t{0} : 0);
     }
-    const std::uint64_t bit = block & kLeafMask;
-    const std::uint64_t one = std::uint64_t{1} << (bit & 63);
-    if (value)
-        (*leaf)[bit >> 6] |= one;
-    else
-        (*leaf)[bit >> 6] &= ~one;
+    setBit(*leaf, block & kLeafMask, value);
 }
 
 HashedHitLastStore::HashedHitLastStore(std::uint64_t table_entries,

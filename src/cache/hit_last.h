@@ -93,7 +93,21 @@ class IdealHitLastStore final : public HitLastStore
         return it == overflow.end() ? initialValue : it->second;
     }
 
-    void update(Addr block, bool value) override;
+    void
+    update(Addr block, bool value) override
+    {
+        // Fast path: the block's leaf is already materialized (every
+        // reference after a leaf's first). Directory growth, leaf
+        // materialization and the overflow map stay out of line.
+        const Addr top = block >> kLeafBits;
+        if (top < leaves.size()) {
+            if (Leaf *leaf = leaves[top].get()) {
+                setBit(*leaf, block & kLeafMask, value);
+                return;
+            }
+        }
+        updateSlow(block, value);
+    }
 
     void
     reset() override
@@ -117,6 +131,20 @@ class IdealHitLastStore final : public HitLastStore
     static constexpr Addr kMaxDirectLeaves = Addr{1} << 20;
 
     using Leaf = std::array<std::uint64_t, kLeafWords>;
+
+    static void
+    setBit(Leaf &leaf, std::uint64_t bit, bool value)
+    {
+        const std::uint64_t one = std::uint64_t{1} << (bit & 63);
+        if (value)
+            leaf[bit >> 6] |= one;
+        else
+            leaf[bit >> 6] &= ~one;
+    }
+
+    /** update() for a block whose leaf is not materialized: grows the
+     * directory, materializes the leaf, or writes the overflow map. */
+    void updateSlow(Addr block, bool value);
 
     std::vector<std::unique_ptr<Leaf>> leaves;
     std::unordered_map<Addr, bool> overflow;

@@ -20,7 +20,6 @@ OptimalDirectMappedCache::OptimalDirectMappedCache(
     tags.assign(geo.numLines(), 0);
     valid.assign(geo.numLines(), false);
     residentNextUse.assign(geo.numLines(), kTickInfinity);
-    setMask = geo.numSets() - 1;
 }
 
 void
@@ -36,7 +35,7 @@ OptimalDirectMappedCache::reset()
 AccessOutcome
 OptimalDirectMappedCache::doAccess(const MemRef &ref, Tick tick)
 {
-    return stepBlock(geo.blockOf(ref.addr), tick);
+    return stepBlock(blockOf(ref.addr), tick);
 }
 
 OptimalSetAssocCache::OptimalSetAssocCache(const CacheGeometry &geometry,
@@ -66,8 +65,8 @@ OptimalSetAssocCache::doAccess(const MemRef &ref, Tick tick)
 {
     DYNEX_ASSERT(tick < oracle->size(), "tick ", tick,
                  " beyond indexed trace of ", oracle->size());
-    const Addr block = geo.blockOf(ref.addr);
-    const std::uint64_t set = geo.setOf(ref.addr);
+    const Addr block = blockOf(ref.addr);
+    const std::uint64_t set = setOfBlock(block);
     const Tick incoming_next = oracle->nextUse(tick);
 
     AccessOutcome outcome;

@@ -75,7 +75,7 @@ class OptimalDirectMappedCache final : public CacheModel
         if (lastLineEnabled)
             lastBlock = block;
 
-        const std::uint64_t set = block & setMask;
+        const std::uint64_t set = setOfBlock(block);
         const Tick incoming_next = oracle->nextUse(tick);
 
         if (valid[set] && tags[set] == block) {
@@ -115,7 +115,6 @@ class OptimalDirectMappedCache final : public CacheModel
     std::vector<Tick> residentNextUse;
     bool lastLineEnabled;
     Addr lastBlock = kAddrInvalid;
-    Addr setMask = 0; ///< numSets - 1, cached off the geometry
 };
 
 /**

@@ -41,8 +41,8 @@ SetAssocCache::lineIndex(std::uint64_t set, std::uint32_t way) const
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    const Addr block = geo.blockOf(addr);
-    const std::uint64_t set = geo.setOf(addr);
+    const Addr block = blockOf(addr);
+    const std::uint64_t set = setOfBlock(block);
     for (std::uint32_t w = 0; w < waysPerSet; ++w) {
         const auto idx = set * waysPerSet + w;
         if (valid[idx] && tags[idx] == block)
@@ -54,8 +54,8 @@ SetAssocCache::contains(Addr addr) const
 AccessOutcome
 SetAssocCache::doAccess(const MemRef &ref, Tick tick)
 {
-    const Addr block = geo.blockOf(ref.addr);
-    const std::uint64_t set = geo.setOf(ref.addr);
+    const Addr block = blockOf(ref.addr);
+    const std::uint64_t set = setOfBlock(block);
 
     AccessOutcome outcome;
     for (std::uint32_t w = 0; w < waysPerSet; ++w) {

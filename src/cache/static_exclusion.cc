@@ -58,8 +58,8 @@ StaticExclusionCache::reset()
 AccessOutcome
 StaticExclusionCache::doAccess(const MemRef &ref, Tick)
 {
-    const Addr block = geo.blockOf(ref.addr);
-    const std::uint64_t set = geo.setOf(ref.addr);
+    const Addr block = blockOf(ref.addr);
+    const std::uint64_t set = setOfBlock(block);
 
     AccessOutcome outcome;
     if (valid[set] && tags[set] == block) {

@@ -34,7 +34,7 @@ StreamBufferCache::name() const
 AccessOutcome
 StreamBufferCache::doAccess(const MemRef &ref, Tick tick)
 {
-    const Addr block = geo.blockOf(ref.addr);
+    const Addr block = blockOf(ref.addr);
 
     // The backing cache sees every reference so its replacement state
     // stays faithful; its outcome decides hit/miss unless the buffer

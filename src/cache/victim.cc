@@ -52,8 +52,8 @@ VictimCache::insertVictim(Addr block, Tick tick)
 AccessOutcome
 VictimCache::doAccess(const MemRef &ref, Tick tick)
 {
-    const Addr block = geo.blockOf(ref.addr);
-    const std::uint64_t set = geo.setOf(ref.addr);
+    const Addr block = blockOf(ref.addr);
+    const std::uint64_t set = setOfBlock(block);
 
     AccessOutcome outcome;
     if (valid[set] && tags[set] == block) {

@@ -47,8 +47,7 @@ runTrace(CacheModel &cache, const Trace &trace)
 HierarchyStats
 runTrace(TwoLevelCache &hierarchy, const Trace &trace)
 {
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        hierarchy.access(trace[i], i);
+    hierarchy.replay(trace.records().data(), trace.size());
     return hierarchy.stats();
 }
 

@@ -132,6 +132,57 @@ TEST(IdealHitLast, MatchesMapReferenceOverRandomWorkload)
     }
 }
 
+TEST(IdealHitLast, InlineUpdateMatchesMapReferenceAcrossLeavesAndOverflow)
+{
+    // update() writes in line only into an already-materialized leaf;
+    // the first write to a leaf, a write past the directory's end and
+    // a write at or above 2^36 take the out-of-line path. Walk blocks
+    // in the order that alternates the two, then read every block
+    // touched and its neighbours back against the map.
+    constexpr Addr kLeaf = Addr{1} << 16;
+    constexpr Addr kOverflow = Addr{1} << 36;
+    const Addr anchors[] = {
+        0,                 // first leaf
+        kLeaf - 1,         // last block of the first leaf
+        kLeaf,             // second leaf, directory grows by one
+        7 * kLeaf + 5,     // directory grows past empty leaves
+        3 * kLeaf,         // leaf inside the directory, never built
+        kOverflow - 1,     // last block the directory holds
+        kOverflow,         // first overflow block
+        kOverflow + kLeaf, // overflow, would-be second leaf
+        Addr{1} << 50,
+    };
+    for (const bool initial : {false, true}) {
+        IdealHitLastStore store(initial);
+        MapReferenceStore reference(initial);
+        Rng rng(0x1eaf);
+        std::vector<Addr> touched;
+        for (int round = 0; round < 4; ++round) {
+            for (const Addr anchor : anchors) {
+                for (int i = 0; i < 64; ++i) {
+                    const Addr block = anchor + rng.nextBelow(130);
+                    const bool value = rng.nextBool(0.5);
+                    store.update(block, value);
+                    reference.update(block, value);
+                    touched.push_back(block);
+                    ASSERT_EQ(store.lookup(block), value)
+                        << "initial=" << initial << " block=0x"
+                        << std::hex << block;
+                }
+            }
+        }
+        for (const Addr block : touched) {
+            for (const Addr probe : {block - 1, block, block + 1, block + 64})
+                ASSERT_EQ(store.lookup(probe), reference.lookup(probe))
+                    << "initial=" << initial << " block=0x" << std::hex
+                    << probe;
+        }
+        store.reset();
+        for (const Addr block : touched)
+            ASSERT_EQ(store.lookup(block), initial);
+    }
+}
+
 TEST(IdealHitLast, NeverSeenBlocksKeepInitialValueEverywhere)
 {
     IdealHitLastStore warm(true);

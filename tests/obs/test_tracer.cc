@@ -139,9 +139,7 @@ TEST(Tracer, LegSpansNestInsideTheSweepSpan)
             << "]";
 }
 
-// The pass replays one batch of legs; it was the batched engine's
-// before the kernel replaced it.
-TEST(Tracer, ChunkSpansNestInsideTheBatchPass)
+TEST(Tracer, ChunkSpansNestInsideTheKernelPass)
 {
     ThreadCountGuard guard;
     const auto spans = runTracedSweep(ReplayEngine::Kernel, 2);

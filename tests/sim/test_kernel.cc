@@ -89,10 +89,7 @@ kernelTrace(std::size_t refs, std::uint64_t seed = 0x8a7c3)
     return trace;
 }
 
-// The "Batch" in this and two other test names is the retired batched
-// engine, which the kernel used to be compared against; the per-leg
-// models it was bit-identical to are the reference now.
-TEST(KernelReplay, MatchesBatchAtEverySizeAndLine)
+TEST(KernelReplay, MatchesPerLegAtEverySizeAndLine)
 {
     const Trace trace = kernelTrace(30000);
     const std::vector<std::uint64_t> sizes = {256, 1024, 4096,
@@ -107,7 +104,7 @@ TEST(KernelReplay, MatchesBatchAtEverySizeAndLine)
     }
 }
 
-TEST(KernelReplay, MatchesBatchWithNonDefaultDeConfig)
+TEST(KernelReplay, MatchesPerLegWithNonDefaultDeConfig)
 {
     const Trace trace = kernelTrace(20000, 0x51c);
     const std::vector<std::uint64_t> sizes = {512, 2048};
@@ -306,7 +303,7 @@ TEST(KernelReplay, SuiteSweepsIdenticalCheckedAndUncheckedAllWorkers)
     }
 }
 
-TEST(KernelReplay, LineSweepKernelMatchesBatch)
+TEST(KernelReplay, LineSweepKernelMatchesPerLeg)
 {
     ThreadCountGuard guard;
     const std::vector<std::string> names = {"tomcatv"};

@@ -43,6 +43,10 @@ CacheGeometry::validate() const
                  "two, got ", sizeBytes);
     DYNEX_ASSERT(isPowerOfTwo(lineBytes), "line size must be a power of "
                  "two, got ", lineBytes);
+    // Every model marks an invalid line with the kAddrInvalid tag; at
+    // two bytes or more no block number can equal it.
+    DYNEX_ASSERT(lineBytes >= 2, "line size must be at least 2 bytes, "
+                 "got ", lineBytes);
     DYNEX_ASSERT(lineBytes <= sizeBytes, "line larger than cache");
     if (ways != 0) {
         DYNEX_ASSERT(isPowerOfTwo(ways), "associativity must be a power "

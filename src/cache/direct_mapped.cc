@@ -11,14 +11,13 @@ DirectMappedCache::DirectMappedCache(const CacheGeometry &geometry)
     DYNEX_ASSERT(geometry.ways == 1,
                  "DirectMappedCache requires ways == 1, got ",
                  geometry.ways);
-    tags.assign(geo.numLines(), 0);
-    valid.assign(geo.numLines(), false);
+    tags.assign(geo.numLines(), kAddrInvalid);
 }
 
 void
 DirectMappedCache::reset()
 {
-    std::fill(valid.begin(), valid.end(), false);
+    std::fill(tags.begin(), tags.end(), kAddrInvalid);
     resetStats();
 }
 
@@ -26,14 +25,7 @@ bool
 DirectMappedCache::contains(Addr addr) const
 {
     const Addr block = blockOf(addr);
-    const std::uint64_t set = setOfBlock(block);
-    return valid[set] && tags[set] == block;
-}
-
-Addr
-DirectMappedCache::residentBlock(std::uint64_t set) const
-{
-    return valid[set] ? tags[set] : kAddrInvalid;
+    return tags[setOfBlock(block)] == block;
 }
 
 AccessOutcome

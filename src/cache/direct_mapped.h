@@ -15,6 +15,25 @@ namespace dynex
 {
 
 /**
+ * The direct-mapped policy's per-line step: every reference installs
+ * its block (most-recent-reference replacement). Shared by
+ * DirectMappedCache, the hierarchy's conventional L1 and the SoA
+ * replay kernel.
+ *
+ * @param tag the line's resident block, kAddrInvalid when invalid.
+ * @param block block number of the access (never kAddrInvalid).
+ * @return the block the line held before: @p block on a hit,
+ *         kAddrInvalid on a cold fill, the victim otherwise.
+ */
+inline Addr
+directMappedStep(Addr &tag, Addr block)
+{
+    const Addr resident = tag;
+    tag = block;
+    return resident;
+}
+
+/**
  * A direct-mapped cache with allocate-on-miss. This is the reference
  * point every figure in the paper measures improvement against.
  */
@@ -30,10 +49,6 @@ class DirectMappedCache final : public CacheModel
     /** @return true iff @p addr's block is currently resident. */
     bool contains(Addr addr) const;
 
-    /** @return the resident block number of @p set (kAddrInvalid if
-     * the line is invalid). */
-    Addr residentBlock(std::uint64_t set) const;
-
   protected:
     AccessOutcome doAccess(const MemRef &ref, Tick tick) override;
 
@@ -41,28 +56,26 @@ class DirectMappedCache final : public CacheModel
     AccessOutcome
     stepBlock(Addr block)
     {
-        const std::uint64_t set = setOfBlock(block);
+        const Addr resident =
+            directMappedStep(tags[setOfBlock(block)], block);
 
         AccessOutcome outcome;
-        if (valid[set] && tags[set] == block) {
+        if (resident == block) {
             outcome.hit = true;
             return outcome;
         }
-
-        if (valid[set]) {
-            outcome.evicted = true;
-            outcome.victimBlock = tags[set];
-        } else {
+        if (resident == kAddrInvalid) {
             noteColdMiss();
+        } else {
+            outcome.evicted = true;
+            outcome.victimBlock = resident;
         }
-        tags[set] = block;
-        valid[set] = true;
         outcome.filled = true;
         return outcome;
     }
 
-    std::vector<Addr> tags;   ///< resident block number per line
-    std::vector<bool> valid;
+    /** Resident block number per line; kAddrInvalid marks invalid. */
+    std::vector<Addr> tags;
 };
 
 } // namespace dynex

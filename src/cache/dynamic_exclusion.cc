@@ -23,8 +23,7 @@ DynamicExclusionCache::DynamicExclusionCache(
 void
 DynamicExclusionCache::reset()
 {
-    for (auto &line : lines)
-        line = ExclusionLine{};
+    lines.assign(lines.size(), ExclusionLine{});
     hitLast->reset();
     events.reset();
     lastBlock = kAddrInvalid;
@@ -35,8 +34,7 @@ bool
 DynamicExclusionCache::contains(Addr addr) const
 {
     const Addr block = blockOf(addr);
-    const auto &line = lines[setOfBlock(block)];
-    return line.valid && line.tag == block;
+    return lines[setOfBlock(block)].tag == block;
 }
 
 AccessOutcome

@@ -39,24 +39,10 @@ struct DynamicExclusionConfig
     bool initialHitLast = false;
 };
 
-/**
- * Compile-time switch for the FSM event counters: 1 (the default)
- * counts every transition, 0 compiles note() to nothing so the replay
- * loop carries no counter increment at all. Configure with
- * -DDYNEX_OBS_FSM_EVENTS=OFF at the CMake level; the obs-layer metrics
- * and event tests require the default.
- */
-#ifndef DYNEX_OBS_FSM_EVENTS
-#define DYNEX_OBS_FSM_EVENTS 1
-#endif
-
 /** Per-transition occurrence counts, for analysis and tests. */
 struct FsmEventCounts
 {
     std::array<Count, 5> byEvent{};
-
-    /** True when the build counts transitions (see above). */
-    static constexpr bool enabled = DYNEX_OBS_FSM_EVENTS != 0;
 
     Count
     of(FsmEvent event) const
@@ -64,14 +50,7 @@ struct FsmEventCounts
         return byEvent[static_cast<std::size_t>(event)];
     }
 
-    void
-    note(FsmEvent event)
-    {
-        if constexpr (enabled)
-            ++byEvent[static_cast<std::size_t>(event)];
-        else
-            (void)event;
-    }
+    void note(FsmEvent event) { ++byEvent[static_cast<std::size_t>(event)]; }
 
     void reset() { byEvent = {}; }
 };
@@ -149,20 +128,22 @@ class DynamicExclusionCache final : public CacheModel
         if (cfg.useLastLine)
             lastBlock = block;
 
-        const std::uint64_t set = setOfBlock(block);
-        const bool h = lookupHitLast(block);
-        const FsmStep step =
-            exclusionStep(lines[set], block, h, cfg.stickyMax);
-        events.note(step.event);
-        if (step.newHitLast)
-            updateHitLast(block, *step.newHitLast);
+        ExclusionLine &line = lines[setOfBlock(block)];
+        const Addr resident = line.tag;
+        const FsmEvent event =
+            exclusionStep(line.tag, line.sticky, block,
+                          lookupHitLast(block), cfg.stickyMax);
+        events.note(event);
+        if (fsmWritesHitLast(event))
+            updateHitLast(block, fsmNewHitLast(event));
 
-        outcome.hit = step.hit;
-        outcome.filled = step.allocated && !step.hit;
-        outcome.bypassed = step.event == FsmEvent::Bypass;
-        outcome.evicted = step.evicted;
-        outcome.victimBlock = step.victimTag;
-        if (step.event == FsmEvent::ColdFill)
+        outcome.hit = event == FsmEvent::Hit;
+        outcome.bypassed = event == FsmEvent::Bypass;
+        outcome.evicted = fsmEvicts(event);
+        outcome.filled = outcome.evicted || event == FsmEvent::ColdFill;
+        if (outcome.evicted)
+            outcome.victimBlock = resident;
+        if (event == FsmEvent::ColdFill)
             noteColdMiss();
         return outcome;
     }

@@ -1,8 +1,9 @@
 /**
  * @file
  * The dynamic-exclusion finite state machine of McFarling (ISCA 1992),
- * Figure 1, as a pure per-line transition function shared by the
- * single-level DynamicExclusionCache and the two-level hierarchy.
+ * Figure 1, as the one per-line transition function every
+ * dynamic-exclusion replay calls: the single-level models, the L1 of
+ * the two-level hierarchy, and the SoA replay kernel.
  *
  * Each cache line carries a sticky state; each *address* carries a
  * hit-last bit h[x] stored outside the line (see hit_last.h for the
@@ -24,28 +25,17 @@
 #define DYNEX_CACHE_EXCLUSION_FSM_H
 
 #include <cstdint>
-#include <optional>
-#include <string>
 
-#include "util/logging.h"
 #include "util/types.h"
 
 namespace dynex
 {
 
-/** Per-line state consumed and mutated by the FSM. */
+/** Per-line state of a dynamic-exclusion cache line. */
 struct ExclusionLine
 {
-    Addr tag = 0;             ///< resident block number
-    bool valid = false;
-    std::uint8_t sticky = 0;  ///< saturating inertia counter
-    /**
-     * L1-side copy of the resident block's hit-last bit. The two-level
-     * hierarchy transfers this to the L2 entry when the line is
-     * replaced (Section 5 of the paper); single-level caches with an
-     * external store can ignore it.
-     */
-    bool hitLastCopy = false;
+    Addr tag = kAddrInvalid; ///< resident block; kAddrInvalid if none
+    std::uint8_t sticky = 0; ///< saturating inertia counter
 };
 
 /** Which FSM transition fired. */
@@ -61,99 +51,73 @@ enum class FsmEvent : std::uint8_t
 /** @return a short lowercase name for @p event. */
 const char *fsmEventName(FsmEvent event);
 
-/** Everything a caller needs to apply one FSM step's side effects. */
-struct FsmStep
+/** @return true iff @p event writes h[x] (every arc but Bypass). */
+constexpr bool
+fsmWritesHitLast(FsmEvent event)
 {
-    FsmEvent event = FsmEvent::ColdFill;
-    bool hit = false;       ///< x found in the line
-    bool allocated = false; ///< x now resident
-    /** New value of h[x], if the step writes it. */
-    std::optional<bool> newHitLast;
-    bool evicted = false;   ///< a valid block was displaced
-    Addr victimTag = kAddrInvalid;
-    /** The victim's carried hit-last copy (for transfer to L2). */
-    bool victimHitLast = false;
-};
+    return event != FsmEvent::Bypass;
+}
+
+/** @return the value @p event writes to h[x] when it writes one: the
+ * hit-last override consumes the bit, every other arc sets it. */
+constexpr bool
+fsmNewHitLast(FsmEvent event)
+{
+    return event != FsmEvent::ReplaceHitLast;
+}
+
+/** @return true iff @p event displaced a valid resident block. */
+constexpr bool
+fsmEvicts(FsmEvent event)
+{
+    return event == FsmEvent::ReplaceUnsticky ||
+           event == FsmEvent::ReplaceHitLast;
+}
 
 /**
- * Apply one access to @p line.
+ * Apply one access to block @p block on a line whose fields are
+ * @p tag and @p sticky (a struct's members or two SoA lanes).
  *
- * Defined inline: this is the innermost step of every dynamic-exclusion
- * replay loop, and keeping the body visible lets it fold into the
- * models' stepBlock fast paths without a cross-TU call per reference.
+ * The caller looks up h[x] beforehand, and afterwards applies the
+ * h[x] write the returned arc calls for (fsmWritesHitLast,
+ * fsmNewHitLast); the displaced block, when fsmEvicts, is the tag the
+ * caller read before the call.
  *
- * @param line the (mutated) cache-line state.
- * @param tag block number of the access.
- * @param hit_last_x the stored h[x] for this block, as looked up by
- *        whatever storage policy the caller uses.
- * @param sticky_max saturation value of the sticky counter (>= 1); the
- *        paper's machine uses 1.
- * @return the step record describing what happened.
+ * @param tag the line's resident block, kAddrInvalid when invalid.
+ * @param sticky the line's sticky counter.
+ * @param block block number of the access (never kAddrInvalid).
+ * @param h the stored h[x] for this block; read only on a conflict
+ *        against a sticky line.
+ * @param sticky_max saturation value of the sticky counter; the
+ *        paper's machine uses 1. Callers check it is at least 1 once,
+ *        at construction.
+ * @return the arc that fired.
  */
-inline FsmStep
-exclusionStep(ExclusionLine &line, Addr tag, bool hit_last_x,
-              std::uint8_t sticky_max = 1)
+inline FsmEvent
+exclusionStep(Addr &tag, std::uint8_t &sticky, Addr block, bool h,
+              std::uint8_t sticky_max)
 {
-    DYNEX_ASSERT(sticky_max >= 1, "sticky_max must be at least 1");
-
-    FsmStep step;
-
-    if (!line.valid) {
-        step.event = FsmEvent::ColdFill;
-        step.allocated = true;
-        step.newHitLast = true;
-        line.tag = tag;
-        line.valid = true;
-        line.sticky = sticky_max;
-        line.hitLastCopy = true;
-        return step;
-    }
-
-    if (line.tag == tag) {
-        step.event = FsmEvent::Hit;
-        step.hit = true;
-        step.newHitLast = true;
-        line.sticky = sticky_max;
-        line.hitLastCopy = true;
-        return step;
-    }
-
-    if (line.sticky == 0) {
-        // The resident survived a previous conflict without being
-        // re-executed; it loses this one. The incoming block "should
-        // have hit the last time it was executed", so h[x] is set even
-        // though it did not actually hit (the A,!s -> B,s transition).
-        step.event = FsmEvent::ReplaceUnsticky;
-        step.allocated = true;
-        step.newHitLast = true;
-        step.evicted = true;
-        step.victimTag = line.tag;
-        step.victimHitLast = line.hitLastCopy;
-        line.tag = tag;
-        line.sticky = sticky_max;
-        line.hitLastCopy = true;
-        return step;
-    }
-
-    if (hit_last_x) {
-        // The hit-last bit overrides stickiness, but is consumed: the
-        // incoming block must prove itself by actually hitting before
-        // it can override again.
-        step.event = FsmEvent::ReplaceHitLast;
-        step.allocated = true;
-        step.newHitLast = false;
-        step.evicted = true;
-        step.victimTag = line.tag;
-        step.victimHitLast = line.hitLastCopy;
-        line.tag = tag;
-        line.sticky = sticky_max;
-        line.hitLastCopy = false;
-        return step;
-    }
-
-    step.event = FsmEvent::Bypass;
-    line.sticky = static_cast<std::uint8_t>(line.sticky - 1);
-    return step;
+    // On ReplaceUnsticky the incoming block "should have hit the last
+    // time it was executed", so h[x] is set even though it missed (the
+    // A,!s -> B,s transition). On ReplaceHitLast the bit overrides
+    // stickiness but is consumed: the block must prove itself by
+    // actually hitting before it can override again. The block is
+    // never kAddrInvalid, so the hit test can go first, and a caller
+    // that has just compared the tag folds the chain.
+    const FsmEvent event = tag == block          ? FsmEvent::Hit
+                           : tag == kAddrInvalid ? FsmEvent::ColdFill
+                           : sticky == 0         ? FsmEvent::ReplaceUnsticky
+                           : h                   ? FsmEvent::ReplaceHitLast
+                                                 : FsmEvent::Bypass;
+    // Bypass keeps the resident and decays its stickiness; every other
+    // arc installs the block (a no-op on Hit) at full stickiness. The
+    // update is mask arithmetic rather than a branch: in the SoA kernel
+    // the bypass decision flips too irregularly to predict.
+    const bool bypass = event == FsmEvent::Bypass;
+    const Addr keep = 0 - static_cast<Addr>(bypass);
+    tag = (tag & keep) | (block & ~keep);
+    sticky = bypass ? static_cast<std::uint8_t>(sticky - 1) : sticky_max;
+    return event;
 }
 
 } // namespace dynex

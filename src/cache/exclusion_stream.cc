@@ -23,8 +23,7 @@ ExclusionStreamCache::ExclusionStreamCache(
 void
 ExclusionStreamCache::reset()
 {
-    for (auto &line : lines)
-        line = ExclusionLine{};
+    lines.assign(lines.size(), ExclusionLine{});
     hitLast->reset();
     windowBase = kAddrInvalid;
     lastBlock = kAddrInvalid;
@@ -42,8 +41,7 @@ bool
 ExclusionStreamCache::contains(Addr addr) const
 {
     const Addr block = blockOf(addr);
-    const auto &line = lines[setOfBlock(block)];
-    return line.valid && line.tag == block;
+    return lines[setOfBlock(block)].tag == block;
 }
 
 bool
@@ -68,7 +66,7 @@ ExclusionStreamCache::doAccess(const MemRef &ref, Tick)
 
     const std::uint64_t set = setOfBlock(block);
     auto &line = lines[set];
-    const bool in_l1 = line.valid && line.tag == block;
+    const bool in_l1 = line.tag == block;
     const bool buffered = inWindow(block);
 
     if (!in_l1 && buffered) {
@@ -82,18 +80,20 @@ ExclusionStreamCache::doAccess(const MemRef &ref, Tick)
         windowBase = block;
     }
 
-    const bool h = hitLast->lookup(block);
-    const FsmStep step = exclusionStep(line, block, h, stickyMax);
-    if (step.newHitLast)
-        hitLast->update(block, *step.newHitLast);
+    const Addr resident = line.tag;
+    const FsmEvent event = exclusionStep(
+        line.tag, line.sticky, block, hitLast->lookup(block), stickyMax);
+    if (fsmWritesHitLast(event))
+        hitLast->update(block, fsmNewHitLast(event));
 
-    outcome.hit = step.hit || buffered;
+    outcome.hit = event == FsmEvent::Hit || buffered;
     if (!outcome.hit) {
-        outcome.filled = step.allocated;
-        outcome.bypassed = step.event == FsmEvent::Bypass;
-        outcome.evicted = step.evicted;
-        outcome.victimBlock = step.victimTag;
-        if (step.event == FsmEvent::ColdFill)
+        outcome.bypassed = event == FsmEvent::Bypass;
+        outcome.evicted = fsmEvicts(event);
+        outcome.filled = outcome.evicted || event == FsmEvent::ColdFill;
+        if (outcome.evicted)
+            outcome.victimBlock = resident;
+        if (event == FsmEvent::ColdFill)
             noteColdMiss();
     }
     return outcome;

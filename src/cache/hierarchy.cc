@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "cache/direct_mapped.h"
 #include "util/logging.h"
 
 namespace dynex
@@ -82,8 +83,7 @@ TwoLevelCache::selectKernel(const HierarchyConfig &config)
 void
 TwoLevelCache::reset()
 {
-    for (auto &line : l1Lines)
-        line = ExclusionLine{};
+    l1Lines.assign(l1Lines.size(), L1Line{});
     for (auto &line : l2Lines)
         line = L2Line{};
     if (idealStore)
@@ -111,8 +111,7 @@ bool
 TwoLevelCache::l1Contains(Addr addr) const
 {
     const Addr block = addr >> lineShift;
-    const auto &line = l1Lines[block & l1Mask];
-    return line.valid && line.tag == block;
+    return l1Lines[block & l1Mask].tag == block;
 }
 
 bool
@@ -150,6 +149,24 @@ TwoLevelCache::installL2(Addr block, bool hit_last, bool forced)
     ++statsData.l2.fills;
 }
 
+bool
+TwoLevelCache::probeL2(Addr block)
+{
+    ++statsData.l1.misses;
+    ++statsData.l2.accesses;
+    auto &l2 = l2Lines[block & l2Mask];
+    if (!l2.valid || l2.tag != block) {
+        ++statsData.l2.misses;
+        return false;
+    }
+    ++statsData.l2.hits;
+    if (cfg.l2DynamicExclusion) {
+        l2.sticky = cfg.stickyMax;
+        l2HitLast->update(block, true);
+    }
+    return true;
+}
+
 template <bool DynexL1, HitLastPolicy P, bool LastLine>
 void
 TwoLevelCache::step(Addr block)
@@ -165,49 +182,22 @@ TwoLevelCache::step(Addr block)
     }
 
     auto &l1 = l1Lines[block & l1Mask];
-    if (l1.valid && l1.tag == block) {
-        ++statsData.l1.hits;
-        if constexpr (DynexL1) {
-            l1.sticky = cfg.stickyMax;
-            l1.hitLastCopy = true;
-            if constexpr (P == HitLastPolicy::Ideal)
-                idealStore->update(block, true);
-            else if constexpr (P == HitLastPolicy::Hashed)
-                hashedStore->update(block, true);
-            // For the in-L2 policies the resident copy in the L1 line
-            // is authoritative and is transferred on eviction.
-        }
-        return;
-    }
-
-    // L1 miss: probe L2.
-    ++statsData.l1.misses;
-    ++statsData.l2.accesses;
-    auto &l2 = l2Lines[block & l2Mask];
-    const bool l2_hit = l2.valid && l2.tag == block;
-    if (l2_hit) {
-        ++statsData.l2.hits;
-        if (cfg.l2DynamicExclusion) {
-            l2.sticky = cfg.stickyMax;
-            l2HitLast->update(block, true);
-        }
-    } else {
-        ++statsData.l2.misses;
-    }
-
     if constexpr (!DynexL1) {
         // Conventional baseline: allocate-on-miss at both levels
         // (inclusive).
-        if (l1.valid)
-            ++statsData.l1.evictions;
-        else
+        const Addr resident = directMappedStep(l1.tag, block);
+        if (resident == block) {
+            ++statsData.l1.hits;
+            return;
+        }
+        const bool l2_hit = probeL2(block);
+        if (resident == kAddrInvalid)
             ++statsData.l1.coldMisses;
-        l1.tag = block;
-        l1.valid = true;
+        else
+            ++statsData.l1.evictions;
         ++statsData.l1.fills;
         if (!l2_hit)
             installL2(block, true, /*forced=*/false);
-        return;
     } else {
         // Whether memory fills allocate in L2 even when L1 stores the
         // line. AssumeHit is inclusive (h bits must be findable in
@@ -215,51 +205,68 @@ TwoLevelCache::step(Addr block)
         // other lines.
         constexpr bool kInclusiveL2 = P == HitLastPolicy::AssumeHit;
 
-        // The in-L2 policies default h on an L2 miss by their name.
-        bool h = P == HitLastPolicy::AssumeHit;
-        if constexpr (P == HitLastPolicy::Ideal)
-            h = idealStore->lookup(block);
-        else if constexpr (P == HitLastPolicy::Hashed)
-            h = hashedStore->lookup(block);
-        else if (l2_hit)
-            h = l2.hitLast;
-
-        const FsmStep fsm = exclusionStep(l1, block, h, cfg.stickyMax);
-        if (fsm.newHitLast) {
+        // h is read only on a miss, after the L2 probe: the in-L2
+        // policies find it there, defaulting by their name on an L2
+        // miss.
+        bool l2_hit = false;
+        bool h = false;
+        if (l1.tag == block) {
+            ++statsData.l1.hits;
+        } else {
+            l2_hit = probeL2(block);
+            h = P == HitLastPolicy::AssumeHit;
             if constexpr (P == HitLastPolicy::Ideal)
-                idealStore->update(block, *fsm.newHitLast);
+                h = idealStore->lookup(block);
             else if constexpr (P == HitLastPolicy::Hashed)
-                hashedStore->update(block, *fsm.newHitLast);
+                h = hashedStore->lookup(block);
+            else if (l2_hit)
+                h = l2Lines[block & l2Mask].hitLast;
         }
 
-        if (fsm.allocated) {
-            ++statsData.l1.fills;
-            if (fsm.event == FsmEvent::ColdFill)
-                ++statsData.l1.coldMisses;
-            if (fsm.evicted) {
-                ++statsData.l1.evictions;
-                // The victim and its hit-last copy move down a level.
-                installL2(fsm.victimTag, fsm.victimHitLast,
-                          /*forced=*/true);
-            }
-            if (!l2_hit && kInclusiveL2) {
-                installL2(block, fsm.newHitLast.value_or(true),
-                          /*forced=*/false);
-            } else if (l2_hit && !kInclusiveL2) {
-                // Exclusive-style promotion frees the L2 frame for
-                // other lines ("instructions do not need to be stored
-                // on both levels"). The victim install above may
-                // already have taken the frame.
-                if (l2.valid && l2.tag == block)
-                    l2.valid = false;
-            }
-        } else {
-            // Bypass: the block stays below L1 (and in the last-line
-            // buffer); make sure L2 holds it so the next reference
-            // does not go to memory.
+        const Addr victim = l1.tag;
+        const bool victim_hit_last = l1.hitLast;
+        const FsmEvent event =
+            exclusionStep(l1.tag, l1.sticky, block, h, cfg.stickyMax);
+        if (fsmWritesHitLast(event)) {
+            // For the in-L2 policies the copy in the L1 line is
+            // authoritative and is transferred on eviction.
+            l1.hitLast = fsmNewHitLast(event);
+            if constexpr (P == HitLastPolicy::Ideal)
+                idealStore->update(block, l1.hitLast);
+            else if constexpr (P == HitLastPolicy::Hashed)
+                hashedStore->update(block, l1.hitLast);
+        }
+
+        if (event == FsmEvent::Hit)
+            return;
+        if (event == FsmEvent::Bypass) {
+            // The block stays below L1 (and in the last-line buffer);
+            // make sure L2 holds it so the next reference does not go
+            // to memory.
             ++statsData.l1.bypasses;
             if (!l2_hit)
                 installL2(block, false, /*forced=*/false);
+            return;
+        }
+
+        ++statsData.l1.fills;
+        if (event == FsmEvent::ColdFill)
+            ++statsData.l1.coldMisses;
+        if (fsmEvicts(event)) {
+            ++statsData.l1.evictions;
+            // The victim and its hit-last copy move down a level.
+            installL2(victim, victim_hit_last, /*forced=*/true);
+        }
+        if (!l2_hit && kInclusiveL2) {
+            installL2(block, l1.hitLast, /*forced=*/false);
+        } else if (l2_hit && !kInclusiveL2) {
+            // Exclusive-style promotion frees the L2 frame for other
+            // lines ("instructions do not need to be stored on both
+            // levels"). The victim install above may already have
+            // taken the frame.
+            auto &l2 = l2Lines[block & l2Mask];
+            if (l2.valid && l2.tag == block)
+                l2.valid = false;
         }
     }
 }

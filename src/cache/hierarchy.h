@@ -147,6 +147,16 @@ class TwoLevelCache
     bool l2Contains(Addr addr) const;
 
   private:
+    /** An L1 line: the per-line policy state (the conventional L1 uses
+     * only the tag) plus the resident block's hit-last copy, which
+     * moves to L2 with the block when it is replaced. */
+    struct L1Line
+    {
+        Addr tag = kAddrInvalid; ///< kAddrInvalid marks invalid
+        std::uint8_t sticky = 0;
+        bool hitLast = false;
+    };
+
     /** All-zero bytes when value-initialized, as ZeroPageArray needs. */
     struct L2Line
     {
@@ -179,6 +189,10 @@ class TwoLevelCache
     template <bool DynexL1, HitLastPolicy P, bool LastLine>
     void replayLoop(const MemRef *refs, std::size_t n);
 
+    /** Count an L1 miss and present @p block to L2.
+     * @return true iff L2 holds it. */
+    bool probeL2(Addr block);
+
     /** Install @p block into L2 (used for fills and victim installs).
      * @param forced victim installs bypass the L2 FSM. */
     void installL2(Addr block, bool hit_last, bool forced);
@@ -190,7 +204,7 @@ class TwoLevelCache
     Addr l1Mask = 0; ///< L1 numSets - 1
     Addr l2Mask = 0; ///< L2 numSets - 1
 
-    std::vector<ExclusionLine> l1Lines;
+    std::vector<L1Line> l1Lines;
     /**
      * On anonymous zero pages: at large L2/L1 ratios the array runs to
      * megabytes, and resident memory should follow the sets a trace

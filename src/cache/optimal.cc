@@ -17,17 +17,13 @@ OptimalDirectMappedCache::OptimalDirectMappedCache(
                  " != line size ", geometry.lineBytes);
     DYNEX_ASSERT(index.mode() == NextUseMode::AnyReference || use_last_line,
                  "RunStart index requires the last-line register");
-    tags.assign(geo.numLines(), 0);
-    valid.assign(geo.numLines(), false);
-    residentNextUse.assign(geo.numLines(), kTickInfinity);
+    lanes.assign(geo.numLines(), OptLane{});
 }
 
 void
 OptimalDirectMappedCache::reset()
 {
-    std::fill(valid.begin(), valid.end(), false);
-    std::fill(residentNextUse.begin(), residentNextUse.end(),
-              kTickInfinity);
+    lanes.assign(lanes.size(), OptLane{});
     lastBlock = kAddrInvalid;
     resetStats();
 }

@@ -19,6 +19,59 @@
 namespace dynex
 {
 
+/** One optimal-cache line: tag and resident next-use share a 16-byte
+ * lane, so the kernel's random probe touches one cache line instead of
+ * two parallel arrays. */
+struct OptLane
+{
+    Addr tag = kAddrInvalid; ///< resident block; kAddrInvalid if none
+    Tick next = 0;           ///< resident block's next-use tick
+};
+
+/** Which optimal-with-bypass transition fired. */
+enum class OptEvent : std::uint8_t
+{
+    ColdFill, ///< invalid line filled
+    Hit,      ///< resident block referenced
+    Replace,  ///< incoming block is referenced sooner: resident evicted
+    Bypass,   ///< resident is referenced sooner: incoming passed through
+};
+
+/**
+ * The optimal policy's per-line step: retain whichever of {resident,
+ * incoming} is referenced sooner. Shared by OptimalDirectMappedCache
+ * and the SoA replay kernel.
+ *
+ * Hits refresh the resident next-use; cold misses and won conflicts
+ * install the incoming block; lost conflicts bypass. The update is
+ * mask arithmetic, not a branch: the retain decision is data-dependent
+ * and bypass-heavy legs flip it irregularly, so a branch here
+ * mispredicts constantly.
+ *
+ * @param lane the line; the displaced block, on Replace, is the tag
+ *        the caller read before the call.
+ * @param block block number of the access (never kAddrInvalid).
+ * @param next the tick of @p block's next reference (or run start).
+ * @return the transition that fired.
+ */
+inline OptEvent
+optimalStep(OptLane &lane, Addr block, Tick next)
+{
+    const bool hit = lane.tag == block;
+    const bool cold = lane.tag == kAddrInvalid;
+    // Ties are impossible: two distinct blocks cannot share a future
+    // position.
+    const bool wins = next < lane.next;
+    const bool write = hit | cold | wins;
+    const Addr wmask = 0 - static_cast<Addr>(write);
+    lane.tag = (block & wmask) | (lane.tag & ~wmask);
+    lane.next = (next & wmask) | (lane.next & ~wmask);
+    return hit    ? OptEvent::Hit
+           : cold ? OptEvent::ColdFill
+           : wins ? OptEvent::Replace
+                  : OptEvent::Bypass;
+}
+
 /**
  * Optimal direct-mapped cache with bypass.
  *
@@ -75,44 +128,23 @@ class OptimalDirectMappedCache final : public CacheModel
         if (lastLineEnabled)
             lastBlock = block;
 
-        const std::uint64_t set = setOfBlock(block);
-        const Tick incoming_next = oracle->nextUse(tick);
-
-        if (valid[set] && tags[set] == block) {
-            outcome.hit = true;
-            residentNextUse[set] = incoming_next;
-            return outcome;
-        }
-
-        if (!valid[set]) {
+        OptLane &lane = lanes[setOfBlock(block)];
+        const Addr resident = lane.tag;
+        const OptEvent event =
+            optimalStep(lane, block, oracle->nextUse(tick));
+        outcome.hit = event == OptEvent::Hit;
+        outcome.bypassed = event == OptEvent::Bypass;
+        outcome.evicted = event == OptEvent::Replace;
+        outcome.filled = outcome.evicted || event == OptEvent::ColdFill;
+        if (outcome.evicted)
+            outcome.victimBlock = resident;
+        if (event == OptEvent::ColdFill)
             noteColdMiss();
-            tags[set] = block;
-            valid[set] = true;
-            residentNextUse[set] = incoming_next;
-            outcome.filled = true;
-            return outcome;
-        }
-
-        // Conflict: retain whichever block is referenced sooner. Ties
-        // are impossible (two distinct blocks cannot share a future
-        // position).
-        if (incoming_next < residentNextUse[set]) {
-            outcome.evicted = true;
-            outcome.victimBlock = tags[set];
-            tags[set] = block;
-            residentNextUse[set] = incoming_next;
-            outcome.filled = true;
-        } else {
-            outcome.bypassed = true;
-        }
         return outcome;
     }
 
     const NextUseIndex *oracle;
-    std::vector<Addr> tags;
-    std::vector<bool> valid;
-    /** Next-use tick of the resident block, refreshed on every touch. */
-    std::vector<Tick> residentNextUse;
+    std::vector<OptLane> lanes;
     bool lastLineEnabled;
     Addr lastBlock = kAddrInvalid;
 };

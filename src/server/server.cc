@@ -20,7 +20,6 @@
 #include "trace/text_io.h"
 #include "trace/trace_io.h"
 #include "tracegen/spec.h"
-#include "util/bitops.h"
 #include "util/string_utils.h"
 #include "util/thread_pool.h"
 #include "util/version.h"
@@ -76,13 +75,7 @@ bool validModel(const std::string &model)
 
 Status validGeometry(std::uint64_t size_bytes, std::uint32_t line_bytes)
 {
-    if (size_bytes == 0 || !isPowerOfTwo(size_bytes))
-        return Status::corruptInput("cache size must be a power of two");
-    if (line_bytes == 0 || !isPowerOfTwo(line_bytes))
-        return Status::corruptInput("line size must be a power of two");
-    if (line_bytes > size_bytes)
-        return Status::corruptInput("line larger than cache");
-    return Status();
+    return validateSweepAxis({size_bytes}, line_bytes);
 }
 
 void chargeActive(obs::Counter counter, std::uint64_t delta)

@@ -11,7 +11,10 @@
 #define DYNEX_KERNEL_HAVE_AVX2 0
 #endif
 
+#include "cache/direct_mapped.h"
+#include "cache/exclusion_fsm.h"
 #include "cache/hit_last.h"
+#include "cache/optimal.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace_events.h"
@@ -195,15 +198,6 @@ struct StoreHitLast
     }
 };
 
-/** One optimal-model set: tag and resident next-use share a 16-byte
- * lane, so the model's random probe touches one cache line instead of
- * two parallel arrays. */
-struct OptLane
-{
-    Addr tag;
-    Tick next;
-};
-
 /** All SoA lanes and event tallies of one (cache size) leg. */
 struct KernelLeg
 {
@@ -243,175 +237,38 @@ struct KernelLeg
         deTags.assign(sets, kAddrInvalid);
         deSticky.assign(sets, 0);
         deHitLast.init(max_block, config.initialHitLast);
-        optLanes.assign(sets, OptLane{kAddrInvalid, 0});
+        optLanes.assign(sets, OptLane{});
     }
 };
 
-/** One chunk of the conventional direct-mapped model: always fill, so
- * the tag store is unconditional and the loop carries no branches. */
-DYNEX_KERNEL_NOINLINE void
-dmChunk(KernelLeg &leg, const Addr *__restrict blocks, std::size_t n)
-{
-    // __restrict throughout the chunk loops: the lane stores can never
-    // alias the packed input arrays, and telling the compiler so stops
-    // it reloading blocks[i]/next_use[i]/same[i] after every store —
-    // these loops retire at full issue width, so every spared
-    // instruction is wall-clock.
-    Addr *const __restrict tags = leg.dmTags.data();
-    const Addr mask = leg.setMask;
-    std::uint64_t hits = 0, cold = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr blk = blocks[i];
-        const std::size_t set = static_cast<std::size_t>(blk & mask);
-        const Addr t = tags[set];
-        hits += t == blk;
-        cold += t == kAddrInvalid;
-        tags[set] = blk;
-    }
-    leg.dmHits += hits;
-    leg.dmCold += cold;
-}
+/** Bits of the chunk loop's Models parameter. */
+constexpr unsigned kModelDm = 1, kModelDe = 2, kModelOpt = 4;
+constexpr unsigned kAllModels = kModelDm | kModelDe | kModelOpt;
 
 /**
- * One chunk of the dynamic-exclusion model. The Figure-1 arc is
- * computed as a branchless select chain (index 0-4 in FsmEvent
- * order) and every lane update is a conditional move off it; only the
- * within-run skip and the hit-last write remain branches.
+ * One chunk of the leg's @p Models, each through its policy's shared
+ * per-line step on the SoA lanes. The metrics-off pass runs all three
+ * in one loop, sharing the block/set computation and letting the three
+ * independent lane probes overlap in the memory pipeline; the
+ * metrics-on pass runs one model per loop so each can be timed.
+ * Tallies are exact integers, so both are bit-identical.
+ *
+ * Every step updates its lane by mask arithmetic; only the within-run
+ * skips and the hit-last write of the ideal-store lane remain
+ * branches.
  */
-template <bool LastLine, typename HitLast>
+template <unsigned Models, bool LastLine, typename HitLast>
 DYNEX_KERNEL_NOINLINE void
-deChunk(KernelLeg &leg, HitLast hit_last,
-        const Addr *__restrict blocks,
-        const std::uint8_t *__restrict same, std::size_t n,
-        std::uint8_t sticky_max)
+chunk(KernelLeg &leg, HitLast hit_last, const Addr *__restrict blocks,
+      const Tick *__restrict next_use,
+      const std::uint8_t *__restrict same, std::size_t n,
+      std::uint8_t sticky_max)
 {
-    Addr *const __restrict tags = leg.deTags.data();
-    std::uint8_t *const __restrict sticky = leg.deSticky.data();
-    const Addr mask = leg.setMask;
-    std::uint64_t cold = 0, hit = 0, unsticky = 0, override_ = 0,
-                  bypassed = 0, ll = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr blk = blocks[i];
-        if constexpr (LastLine) {
-            if (same[i]) {
-                // Within-run reference: the last-line buffer serves it
-                // and the FSM deliberately does not observe it.
-                ++ll;
-                continue;
-            }
-        }
-        const std::size_t set = static_cast<std::size_t>(blk & mask);
-        const Addr t = tags[set];
-        const std::uint8_t s = sticky[set];
-        const bool h = hit_last.get(blk);
-        const unsigned arc = t == kAddrInvalid ? 0u
-                             : t == blk        ? 1u
-                             : s == 0          ? 2u
-                             : h               ? 3u
-                                               : 4u;
-        const bool bypass = arc == 4;
-        cold += arc == 0;
-        hit += arc == 1;
-        unsticky += arc == 2;
-        override_ += arc == 3;
-        bypassed += bypass;
-        // Bypass keeps the line and decays sticky; everything else
-        // installs the block at full stickiness. Mask arithmetic, not
-        // selects: the bypass decision is data-dependent and a branch
-        // here mispredicts constantly (see optChunk).
-        const Addr bmask = 0 - static_cast<Addr>(bypass);
-        tags[set] = (t & bmask) | (blk & ~bmask);
-        sticky[set] = bypass ? static_cast<std::uint8_t>(s - 1)
-                             : sticky_max;
-        // h[x] := 1 on fill/hit, consumed (:= 0) on a hit-last
-        // override, untouched on bypass — exactly exclusionStep.
-        hit_last.update(blk, bypass, arc != 3);
-    }
-    leg.deCnt[0] += cold;
-    leg.deCnt[1] += hit;
-    leg.deCnt[2] += unsticky;
-    leg.deCnt[3] += override_;
-    leg.deCnt[4] += bypassed;
-    leg.deLlHits += ll;
-}
-
-template <typename HitLast>
-void
-deChunkDispatch(KernelLeg &leg, HitLast hit_last, const Addr *blocks,
-                const std::uint8_t *same, std::size_t n,
-                bool last_line, std::uint8_t sticky_max)
-{
-    if (last_line)
-        deChunk<true>(leg, hit_last, blocks, same, n, sticky_max);
-    else
-        deChunk<false>(leg, hit_last, blocks, same, n, sticky_max);
-}
-
-/**
- * One chunk of the optimal model (always last-line, RunStart oracle):
- * retain whichever of {resident, incoming} is referenced sooner; all
- * lane updates are conditional moves off the retain decision.
- */
-DYNEX_KERNEL_NOINLINE void
-optChunk(KernelLeg &leg, const Addr *__restrict blocks,
-         const Tick *__restrict next_use,
-         const std::uint8_t *__restrict same, std::size_t n)
-{
-    OptLane *const __restrict lanes = leg.optLanes.data();
-    const Addr mask = leg.setMask;
-    std::uint64_t hits = 0, cold = 0, writes = 0, ll = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (same[i]) {
-            ++ll;
-            continue;
-        }
-        const Addr blk = blocks[i];
-        const std::size_t set = static_cast<std::size_t>(blk & mask);
-        OptLane &lane = lanes[set];
-        const Tick next = next_use[i];
-        const bool hit = lane.tag == blk;
-        const bool cold_miss = lane.tag == kAddrInvalid;
-        const bool wins = next < lane.next;
-        // Hits refresh the resident next-use; cold misses and won
-        // conflicts install the incoming block; lost conflicts
-        // bypass. The select is spelled as mask arithmetic because
-        // `write` is data-dependent (bypass-heavy legs flip it
-        // irregularly); a compiler-chosen branch here mispredicts
-        // constantly.
-        const bool write = hit | cold_miss | wins;
-        const Addr wmask = 0 - static_cast<Addr>(write);
-        lane.tag = (blk & wmask) | (lane.tag & ~wmask);
-        lane.next = (next & wmask) | (lane.next & ~wmask);
-        hits += hit;
-        cold += cold_miss;
-        writes += write;
-    }
-    // Each visible reference is exactly one of hit / cold / evict /
-    // bypass; a write that is neither hit nor cold evicted, and a
-    // non-write bypassed, so both fall out of three cheap tallies.
-    leg.optHits += hits;
-    leg.optCold += cold;
-    leg.optEvict += writes - hits - cold;
-    leg.optBypass += (n - ll) - writes;
-    leg.optLlHits += ll;
-}
-
-/**
- * The metrics-off fast path: one pass over the chunk updates all
- * three models per reference, sharing the block/set computation and
- * letting the three independent lane probes overlap in the memory
- * pipeline. Tallies are exact integers, so this is bit-identical to
- * the split per-model loops (kept for per-model replay timing when a
- * metrics collector is installed).
- */
-template <bool LastLine, typename HitLast>
-DYNEX_KERNEL_NOINLINE void
-fusedChunk(KernelLeg &leg, HitLast hit_last,
-           const Addr *__restrict blocks,
-           const Tick *__restrict next_use,
-           const std::uint8_t *__restrict same, std::size_t n,
-           std::uint8_t sticky_max)
-{
+    // __restrict throughout: the lane stores can never alias the
+    // packed input arrays, and telling the compiler so stops it
+    // reloading blocks[i]/next_use[i]/same[i] after every store — these
+    // loops retire at full issue width, so every spared instruction is
+    // wall-clock.
     Addr *const __restrict dm_tags = leg.dmTags.data();
     Addr *const __restrict de_tags = leg.deTags.data();
     std::uint8_t *const __restrict de_sticky = leg.deSticky.data();
@@ -425,88 +282,97 @@ fusedChunk(KernelLeg &leg, HitLast hit_last,
     for (std::size_t i = 0; i < n; ++i) {
         const Addr blk = blocks[i];
         const std::size_t set = static_cast<std::size_t>(blk & mask);
+        // A within-run reference: the last-line register serves it and
+        // the model does not observe it (always so for optimal, whose
+        // RunStart oracle assumes it; for DE when LastLine).
         const bool rerun = same[i] != 0;
 
-        const Addr dm_t = dm_tags[set];
-        dm_hits += dm_t == blk;
-        dm_cold += dm_t == kAddrInvalid;
-        dm_tags[set] = blk;
-
-        if (!LastLine || !rerun) {
-            const Addr t = de_tags[set];
-            const std::uint8_t s = de_sticky[set];
-            const bool h = hit_last.get(blk);
-            const unsigned arc = t == kAddrInvalid ? 0u
-                                 : t == blk        ? 1u
-                                 : s == 0          ? 2u
-                                 : h               ? 3u
-                                                   : 4u;
-            const bool de_bypass = arc == 4;
-            de_cold += arc == 0;
-            de_hit += arc == 1;
-            de_unsticky += arc == 2;
-            de_override += arc == 3;
-            de_bypassed += de_bypass;
-            // Mask arithmetic, not selects: see deChunk.
-            const Addr bmask = 0 - static_cast<Addr>(de_bypass);
-            de_tags[set] = (t & bmask) | (blk & ~bmask);
-            de_sticky[set] =
-                de_bypass ? static_cast<std::uint8_t>(s - 1)
-                          : sticky_max;
-            hit_last.update(blk, de_bypass, arc != 3);
-        } else {
-            ++de_ll;
+        if constexpr ((Models & kModelDm) != 0) {
+            const Addr resident = directMappedStep(dm_tags[set], blk);
+            dm_hits += resident == blk;
+            dm_cold += resident == kAddrInvalid;
         }
 
-        if (!rerun) {
-            OptLane &lane = opt[set];
-            const Tick next = next_use[i];
-            const bool hit = lane.tag == blk;
-            const bool cold_miss = lane.tag == kAddrInvalid;
-            const bool wins = next < lane.next;
-            // Mask arithmetic, not a select: see optChunk.
-            const bool write = hit | cold_miss | wins;
-            const Addr wmask = 0 - static_cast<Addr>(write);
-            lane.tag = (blk & wmask) | (lane.tag & ~wmask);
-            lane.next = (next & wmask) | (lane.next & ~wmask);
-            opt_hits += hit;
-            opt_cold += cold_miss;
-            opt_writes += write;
-        } else {
-            ++opt_ll;
+        if constexpr ((Models & kModelDe) != 0) {
+            if (!LastLine || !rerun) {
+                const FsmEvent event =
+                    exclusionStep(de_tags[set], de_sticky[set], blk,
+                                  hit_last.get(blk), sticky_max);
+                de_cold += event == FsmEvent::ColdFill;
+                de_hit += event == FsmEvent::Hit;
+                de_unsticky += event == FsmEvent::ReplaceUnsticky;
+                de_override += event == FsmEvent::ReplaceHitLast;
+                de_bypassed += event == FsmEvent::Bypass;
+                hit_last.update(blk, !fsmWritesHitLast(event),
+                                fsmNewHitLast(event));
+            } else {
+                ++de_ll;
+            }
+        }
+
+        if constexpr ((Models & kModelOpt) != 0) {
+            if (!rerun) {
+                const OptEvent event =
+                    optimalStep(opt[set], blk, next_use[i]);
+                opt_hits += event == OptEvent::Hit;
+                opt_cold += event == OptEvent::ColdFill;
+                opt_writes += event != OptEvent::Bypass;
+            } else {
+                ++opt_ll;
+            }
         }
     }
-    leg.dmHits += dm_hits;
-    leg.dmCold += dm_cold;
-    leg.deCnt[0] += de_cold;
-    leg.deCnt[1] += de_hit;
-    leg.deCnt[2] += de_unsticky;
-    leg.deCnt[3] += de_override;
-    leg.deCnt[4] += de_bypassed;
-    leg.deLlHits += de_ll;
-    leg.optHits += opt_hits;
-    leg.optCold += opt_cold;
-    // Every opt-visible reference resolves to exactly one of hit /
-    // cold / evict / bypass: evictions are the writes that were
-    // neither hits nor cold fills, bypasses are the non-writes.
-    leg.optEvict += opt_writes - opt_hits - opt_cold;
-    leg.optBypass += (n - opt_ll) - opt_writes;
-    leg.optLlHits += opt_ll;
+    if constexpr ((Models & kModelDm) != 0) {
+        leg.dmHits += dm_hits;
+        leg.dmCold += dm_cold;
+    }
+    if constexpr ((Models & kModelDe) != 0) {
+        leg.deCnt[0] += de_cold;
+        leg.deCnt[1] += de_hit;
+        leg.deCnt[2] += de_unsticky;
+        leg.deCnt[3] += de_override;
+        leg.deCnt[4] += de_bypassed;
+        leg.deLlHits += de_ll;
+    }
+    if constexpr ((Models & kModelOpt) != 0) {
+        // Every opt-visible reference resolves to exactly one of hit /
+        // cold / evict / bypass: evictions are the writes that were
+        // neither hits nor cold fills, bypasses are the non-writes.
+        leg.optHits += opt_hits;
+        leg.optCold += opt_cold;
+        leg.optEvict += opt_writes - opt_hits - opt_cold;
+        leg.optBypass += (n - opt_ll) - opt_writes;
+        leg.optLlHits += opt_ll;
+    }
 }
 
-template <typename HitLast>
+/** Run chunk<Models> on @p leg, picking its last-line and hit-last
+ * specialization (both DE's alone). */
+template <unsigned Models>
 void
-fusedChunkDispatch(KernelLeg &leg, HitLast hit_last,
-                   const Addr *blocks, const Tick *next_use,
-                   const std::uint8_t *same, std::size_t n,
-                   bool last_line, std::uint8_t sticky_max)
+replayChunk(KernelLeg &leg, const Addr *blocks, const Tick *next_use,
+            const std::uint8_t *same, std::size_t n, bool last_line,
+            std::uint8_t sticky_max)
 {
-    if (last_line)
-        fusedChunk<true>(leg, hit_last, blocks, next_use, same, n,
-                         sticky_max);
-    else
-        fusedChunk<false>(leg, hit_last, blocks, next_use, same, n,
-                          sticky_max);
+    if constexpr ((Models & kModelDe) == 0) {
+        chunk<Models, false>(leg, FlatHitLast{nullptr}, blocks, next_use,
+                             same, n, sticky_max);
+    } else {
+        const auto run = [&]<bool LastLine>(auto hit_last) {
+            chunk<Models, LastLine>(leg, hit_last, blocks, next_use,
+                                    same, n, sticky_max);
+        };
+        const auto pick = [&](auto hit_last) {
+            if (last_line)
+                run.template operator()<true>(hit_last);
+            else
+                run.template operator()<false>(hit_last);
+        };
+        if (leg.deHitLast.isFlat())
+            pick(FlatHitLast{leg.deHitLast.flatWords()});
+        else
+            pick(StoreHitLast{leg.deHitLast.fallback()});
+    }
 }
 
 /** Derive the leg's TriadResult from the pass tallies; every counter
@@ -541,12 +407,8 @@ legResult(const KernelLeg &leg, std::uint64_t refs)
     r.opt.bypasses = leg.optBypass;
     r.opt.evictions = leg.optEvict;
 
-    // The model counts events through FsmEventCounts::note, which
-    // compiles to nothing when the build disables it; mirror that so
-    // reports stay identical either way.
-    if constexpr (FsmEventCounts::enabled)
-        for (std::size_t e = 0; e < 5; ++e)
-            r.deEvents.byEvent[e] = leg.deCnt[e];
+    for (std::size_t e = 0; e < 5; ++e)
+        r.deEvents.byEvent[e] = leg.deCnt[e];
     return r;
 }
 
@@ -627,36 +489,27 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
             KernelLeg *const leg = legs[s].get();
             if (!leg)
                 continue;
+            const Addr *const chunk_blocks = blocks + base;
+            const Tick *const chunk_next = next_use + base;
             if (!metrics) {
-                // No per-model timing wanted: one fused pass per leg.
-                if (leg->deHitLast.isFlat())
-                    fusedChunkDispatch(
-                        *leg, FlatHitLast{leg->deHitLast.flatWords()},
-                        blocks + base, next_use + base, same.data(),
-                        len, last_line, sticky_max);
-                else
-                    fusedChunkDispatch(
-                        *leg, StoreHitLast{leg->deHitLast.fallback()},
-                        blocks + base, next_use + base, same.data(),
-                        len, last_line, sticky_max);
+                // No per-model timing wanted: one loop for all three.
+                replayChunk<kAllModels>(*leg, chunk_blocks, chunk_next,
+                                        same.data(), len, last_line,
+                                        sticky_max);
                 continue;
             }
             const std::uint64_t t0 = obs::monotonicNs();
-            dmChunk(*leg, blocks + base, len);
+            replayChunk<kModelDm>(*leg, chunk_blocks, chunk_next,
+                                  same.data(), len, last_line,
+                                  sticky_max);
             const std::uint64_t t1 = obs::monotonicNs();
-            if (leg->deHitLast.isFlat())
-                deChunkDispatch(*leg,
-                                FlatHitLast{leg->deHitLast.flatWords()},
-                                blocks + base, same.data(), len,
-                                last_line, sticky_max);
-            else
-                deChunkDispatch(*leg,
-                                StoreHitLast{leg->deHitLast.fallback()},
-                                blocks + base, same.data(), len,
-                                last_line, sticky_max);
+            replayChunk<kModelDe>(*leg, chunk_blocks, chunk_next,
+                                  same.data(), len, last_line,
+                                  sticky_max);
             const std::uint64_t t2 = obs::monotonicNs();
-            optChunk(*leg, blocks + base, next_use + base, same.data(),
-                     len);
+            replayChunk<kModelOpt>(*leg, chunk_blocks, chunk_next,
+                                   same.data(), len, last_line,
+                                   sticky_max);
             timing.dmNs[s] += t1 - t0;
             timing.deNs[s] += t2 - t1;
             timing.optNs[s] += obs::monotonicNs() - t2;

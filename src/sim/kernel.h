@@ -12,9 +12,9 @@
  *  - model state lives in struct-of-arrays lanes (flat tag, next-use,
  *    and sticky arrays indexed by set; a zero-page bitmap for hit-last
  *    bits) with sentinel tags instead of validity sidecars;
- *  - McFarling's Figure 1 FSM is applied as a branchless transition
- *    index (the 5 arcs of exclusion_fsm.h precomputed into select
- *    chains) with per-arc event tallies;
+ *  - each model advances through its policy's shared per-line step
+ *    (directMappedStep, exclusionStep, optimalStep), the same
+ *    functions the object models call, with per-arc event tallies;
  *  - statistics are derived from the event tallies once per pass
  *    instead of six counter adds per reference per model;
  *  - the run-boundary lane shared by the last-line models is

@@ -81,8 +81,7 @@ struct TriadResult
     CacheStats dm;   ///< conventional direct-mapped
     CacheStats de;   ///< dynamic exclusion
     CacheStats opt;  ///< optimal direct-mapped with bypass
-    /** Dynamic exclusion's FSM transition counts (all zero when the
-     * build disables DYNEX_OBS_FSM_EVENTS). */
+    /** Dynamic exclusion's FSM transition counts. */
     FsmEventCounts deEvents;
 
     double dmMissPct() const { return dm.missPercent(); }

@@ -36,6 +36,10 @@ Status
 validateSweepAxis(const std::vector<std::uint64_t> &sizes,
                   std::uint32_t line_bytes)
 {
+    if (line_bytes < 2 || !isPowerOfTwo(line_bytes))
+        return Status::corruptInput(
+            "line size " + std::to_string(line_bytes) +
+            " is not a power of two of at least 2 bytes");
     if (sizes.empty())
         return Status::corruptInput("empty cache-size axis");
     if (sizes.size() > kMaxSweepAxisSizes)

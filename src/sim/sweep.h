@@ -28,10 +28,12 @@ inline constexpr std::size_t kMaxSweepAxisSizes = 64;
 
 /**
  * Validate a caller-supplied cache-size axis at @p line_bytes
- * granularity: non-empty, at most kMaxSweepAxisSizes entries, every
- * size a power of two no smaller than the line, and strictly
- * increasing. Violations yield CorruptInput (ResourceLimit for the
- * count cap) naming the offending size.
+ * granularity: the line a power of two of at least 2 bytes (so no
+ * block number is the kAddrInvalid sentinel), the axis non-empty, at
+ * most kMaxSweepAxisSizes entries, every size a power of two no
+ * smaller than the line, and strictly increasing. Violations yield
+ * CorruptInput (ResourceLimit for the count cap) naming the offending
+ * size or line.
  */
 Status validateSweepAxis(const std::vector<std::uint64_t> &sizes,
                          std::uint32_t line_bytes);

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "sim/sweep.h"
-#include "util/bitops.h"
 #include "util/string_utils.h"
 
 namespace dynex
@@ -478,19 +477,10 @@ Parser::validate(CampaignSpec &spec) const
     if (spec.lines.empty())
         spec.lines = {16};
 
-    const Status axis = validateSweepAxis(spec.sizes, spec.lines[0]);
-    if (!axis.ok())
-        return axis;
     for (const std::uint32_t line : spec.lines) {
-        if (!isPowerOfTwo(line))
-            return Status::corruptInput(
-                "line size " + std::to_string(line) +
-                " is not a power of two");
-        if (line > spec.sizes.front())
-            return Status::corruptInput(
-                "line size " + std::to_string(line) +
-                " exceeds the smallest cache size " +
-                std::to_string(spec.sizes.front()));
+        const Status axis = validateSweepAxis(spec.sizes, line);
+        if (!axis.ok())
+            return axis;
     }
     return Status();
 }

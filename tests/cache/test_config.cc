@@ -70,6 +70,15 @@ TEST(CacheGeometryDeathTest, RejectsLineLargerThanCache)
     EXPECT_DEATH(geo.validate(), "line larger than cache");
 }
 
+TEST(CacheGeometryDeathTest, RejectsOneByteLines)
+{
+    // At one-byte lines address ~0 is block ~0, the kAddrInvalid tag
+    // every model marks an invalid line with.
+    EXPECT_DEATH(CacheGeometry::directMapped(4, 1), "at least 2 bytes");
+    CacheGeometry geo{4, 1, 1};
+    EXPECT_DEATH(geo.validate(), "at least 2 bytes");
+}
+
 TEST(CacheGeometry, EqualityComparesAllFields)
 {
     const auto a = CacheGeometry::directMapped(1024, 16);

@@ -13,53 +13,52 @@ namespace dynex
 namespace
 {
 
+/** One step on @p line; returns the arc that fired. */
+FsmEvent
+step(ExclusionLine &line, Addr block, bool h, std::uint8_t sticky_max = 1)
+{
+    return exclusionStep(line.tag, line.sticky, block, h, sticky_max);
+}
+
 TEST(ExclusionFsm, ColdFillAllocatesAndSetsHitLast)
 {
     ExclusionLine line;
-    const FsmStep step = exclusionStep(line, 0x42, /*hit_last_x=*/false);
+    EXPECT_EQ(line.tag, kAddrInvalid) << "a new line is invalid";
+    const FsmEvent event = step(line, 0x42, /*h=*/false);
 
-    EXPECT_EQ(step.event, FsmEvent::ColdFill);
-    EXPECT_FALSE(step.hit);
-    EXPECT_TRUE(step.allocated);
-    ASSERT_TRUE(step.newHitLast.has_value());
-    EXPECT_TRUE(*step.newHitLast);
-    EXPECT_FALSE(step.evicted);
+    EXPECT_EQ(event, FsmEvent::ColdFill);
+    EXPECT_TRUE(fsmWritesHitLast(event));
+    EXPECT_TRUE(fsmNewHitLast(event));
+    EXPECT_FALSE(fsmEvicts(event));
 
-    EXPECT_TRUE(line.valid);
     EXPECT_EQ(line.tag, 0x42u);
     EXPECT_EQ(line.sticky, 1);
-    EXPECT_TRUE(line.hitLastCopy);
 }
 
 TEST(ExclusionFsm, HitRearmsStickyAndSetsHitLast)
 {
-    ExclusionLine line{0x42, true, 0, false};
-    const FsmStep step = exclusionStep(line, 0x42, false);
+    ExclusionLine line{0x42, 0};
+    const FsmEvent event = step(line, 0x42, false);
 
-    EXPECT_EQ(step.event, FsmEvent::Hit);
-    EXPECT_TRUE(step.hit);
-    EXPECT_FALSE(step.allocated);
-    ASSERT_TRUE(step.newHitLast.has_value());
-    EXPECT_TRUE(*step.newHitLast);
+    EXPECT_EQ(event, FsmEvent::Hit);
+    EXPECT_TRUE(fsmWritesHitLast(event));
+    EXPECT_TRUE(fsmNewHitLast(event));
+    EXPECT_FALSE(fsmEvicts(event));
+    EXPECT_EQ(line.tag, 0x42u);
     EXPECT_EQ(line.sticky, 1);
-    EXPECT_TRUE(line.hitLastCopy);
 }
 
 TEST(ExclusionFsm, UnstickyConflictReplacesAndSetsHitLast)
 {
     // The A,!s -> B,s transition: the incoming block "should have hit
     // the last time it was executed", so h[x] is set despite missing.
-    ExclusionLine line{0x1, true, 0, true};
-    const FsmStep step = exclusionStep(line, 0x2, /*hit_last_x=*/false);
+    ExclusionLine line{0x1, 0};
+    const FsmEvent event = step(line, 0x2, /*h=*/false);
 
-    EXPECT_EQ(step.event, FsmEvent::ReplaceUnsticky);
-    EXPECT_FALSE(step.hit);
-    EXPECT_TRUE(step.allocated);
-    ASSERT_TRUE(step.newHitLast.has_value());
-    EXPECT_TRUE(*step.newHitLast);
-    EXPECT_TRUE(step.evicted);
-    EXPECT_EQ(step.victimTag, 0x1u);
-    EXPECT_TRUE(step.victimHitLast);
+    EXPECT_EQ(event, FsmEvent::ReplaceUnsticky);
+    EXPECT_TRUE(fsmWritesHitLast(event));
+    EXPECT_TRUE(fsmNewHitLast(event));
+    EXPECT_TRUE(fsmEvicts(event));
 
     EXPECT_EQ(line.tag, 0x2u);
     EXPECT_EQ(line.sticky, 1);
@@ -67,31 +66,26 @@ TEST(ExclusionFsm, UnstickyConflictReplacesAndSetsHitLast)
 
 TEST(ExclusionFsm, HitLastOverridesStickyAndIsConsumed)
 {
-    ExclusionLine line{0x1, true, 1, false};
-    const FsmStep step = exclusionStep(line, 0x2, /*hit_last_x=*/true);
+    ExclusionLine line{0x1, 1};
+    const FsmEvent event = step(line, 0x2, /*h=*/true);
 
-    EXPECT_EQ(step.event, FsmEvent::ReplaceHitLast);
-    EXPECT_TRUE(step.allocated);
-    ASSERT_TRUE(step.newHitLast.has_value());
-    EXPECT_FALSE(*step.newHitLast) << "h[x] must be reset on the "
-                                      "sticky-override load";
-    EXPECT_TRUE(step.evicted);
-    EXPECT_EQ(step.victimTag, 0x1u);
+    EXPECT_EQ(event, FsmEvent::ReplaceHitLast);
+    EXPECT_TRUE(fsmWritesHitLast(event));
+    EXPECT_FALSE(fsmNewHitLast(event)) << "h[x] must be reset on the "
+                                          "sticky-override load";
+    EXPECT_TRUE(fsmEvicts(event));
     EXPECT_EQ(line.tag, 0x2u);
     EXPECT_EQ(line.sticky, 1);
-    EXPECT_FALSE(line.hitLastCopy);
 }
 
 TEST(ExclusionFsm, StickyConflictWithoutHitLastBypasses)
 {
-    ExclusionLine line{0x1, true, 1, true};
-    const FsmStep step = exclusionStep(line, 0x2, /*hit_last_x=*/false);
+    ExclusionLine line{0x1, 1};
+    const FsmEvent event = step(line, 0x2, /*h=*/false);
 
-    EXPECT_EQ(step.event, FsmEvent::Bypass);
-    EXPECT_FALSE(step.hit);
-    EXPECT_FALSE(step.allocated);
-    EXPECT_FALSE(step.newHitLast.has_value());
-    EXPECT_FALSE(step.evicted);
+    EXPECT_EQ(event, FsmEvent::Bypass);
+    EXPECT_FALSE(fsmWritesHitLast(event));
+    EXPECT_FALSE(fsmEvicts(event));
 
     EXPECT_EQ(line.tag, 0x1u) << "resident survives the conflict";
     EXPECT_EQ(line.sticky, 0) << "but loses its stickiness";
@@ -99,11 +93,11 @@ TEST(ExclusionFsm, StickyConflictWithoutHitLastBypasses)
 
 TEST(ExclusionFsm, SecondConflictAfterBypassReplaces)
 {
-    ExclusionLine line{0x1, true, 1, true};
-    exclusionStep(line, 0x2, false); // bypass, sticky drops to 0
-    const FsmStep step = exclusionStep(line, 0x2, false);
+    ExclusionLine line{0x1, 1};
+    step(line, 0x2, false); // bypass, sticky drops to 0
+    const FsmEvent event = step(line, 0x2, false);
 
-    EXPECT_EQ(step.event, FsmEvent::ReplaceUnsticky);
+    EXPECT_EQ(event, FsmEvent::ReplaceUnsticky);
     EXPECT_EQ(line.tag, 0x2u);
 }
 
@@ -111,12 +105,12 @@ TEST(ExclusionFsm, ResidentReExecutionRearmsBetweenConflicts)
 {
     // "it will be replaced the next time a conflicting instruction is
     // executed unless the original instruction is executed first"
-    ExclusionLine line{0x1, true, 1, true};
-    exclusionStep(line, 0x2, false);          // conflict: bypass, s=0
-    exclusionStep(line, 0x1, false);          // resident re-executed
-    const FsmStep step = exclusionStep(line, 0x2, false);
+    ExclusionLine line{0x1, 1};
+    step(line, 0x2, false);          // conflict: bypass, s=0
+    step(line, 0x1, false);          // resident re-executed
+    const FsmEvent event = step(line, 0x2, false);
 
-    EXPECT_EQ(step.event, FsmEvent::Bypass) << "stickiness was re-armed";
+    EXPECT_EQ(event, FsmEvent::Bypass) << "stickiness was re-armed";
     EXPECT_EQ(line.tag, 0x1u);
 }
 
@@ -125,18 +119,15 @@ TEST(ExclusionFsm, MultiLevelStickyCounterSurvivesMultipleConflicts)
     // The TN-22 extension: with sticky_max = 2, a line survives two
     // conflicts between re-executions.
     ExclusionLine line;
-    exclusionStep(line, 0xa, false, 2); // cold fill, sticky = 2
+    step(line, 0xa, false, 2); // cold fill, sticky = 2
 
-    FsmStep step = exclusionStep(line, 0xb, false, 2);
-    EXPECT_EQ(step.event, FsmEvent::Bypass);
+    EXPECT_EQ(step(line, 0xb, false, 2), FsmEvent::Bypass);
     EXPECT_EQ(line.sticky, 1);
 
-    step = exclusionStep(line, 0xc, false, 2);
-    EXPECT_EQ(step.event, FsmEvent::Bypass);
+    EXPECT_EQ(step(line, 0xc, false, 2), FsmEvent::Bypass);
     EXPECT_EQ(line.sticky, 0);
 
-    step = exclusionStep(line, 0xb, false, 2);
-    EXPECT_EQ(step.event, FsmEvent::ReplaceUnsticky);
+    EXPECT_EQ(step(line, 0xb, false, 2), FsmEvent::ReplaceUnsticky);
     EXPECT_EQ(line.tag, 0xbu);
     EXPECT_EQ(line.sticky, 2);
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,83 @@ namespace
 using bench::hierarchyConfig;
 using bench::HierarchyLeg;
 using bench::kHierarchyLegs;
+
+/** An L1 line as first written: a validity flag beside the tag, and
+ * the resident block's hit-last copy. */
+struct ReferenceL1Line
+{
+    Addr tag = 0;
+    bool valid = false;
+    std::uint8_t sticky = 0;
+    bool hitLastCopy = false;
+};
+
+/** Everything the reference applies after one Figure 1 step. */
+struct ReferenceFsmStep
+{
+    FsmEvent event = FsmEvent::ColdFill;
+    bool allocated = false;
+    std::optional<bool> newHitLast;
+    bool evicted = false;
+    Addr victimTag = 0;
+    bool victimHitLast = false;
+};
+
+/**
+ * The Figure 1 step as first written, one branch per arc, kept here
+ * so the oracle shares no transition code with the production
+ * exclusionStep.
+ */
+ReferenceFsmStep
+referenceFsmStep(ReferenceL1Line &line, Addr tag, bool hit_last_x,
+                 std::uint8_t sticky_max)
+{
+    ReferenceFsmStep step;
+    if (!line.valid) {
+        step.event = FsmEvent::ColdFill;
+        step.allocated = true;
+        step.newHitLast = true;
+        line.tag = tag;
+        line.valid = true;
+        line.sticky = sticky_max;
+        line.hitLastCopy = true;
+        return step;
+    }
+    if (line.tag == tag) {
+        step.event = FsmEvent::Hit;
+        step.newHitLast = true;
+        line.sticky = sticky_max;
+        line.hitLastCopy = true;
+        return step;
+    }
+    if (line.sticky == 0) {
+        step.event = FsmEvent::ReplaceUnsticky;
+        step.allocated = true;
+        step.newHitLast = true;
+        step.evicted = true;
+        step.victimTag = line.tag;
+        step.victimHitLast = line.hitLastCopy;
+        line.tag = tag;
+        line.sticky = sticky_max;
+        line.hitLastCopy = true;
+        return step;
+    }
+    if (hit_last_x) {
+        step.event = FsmEvent::ReplaceHitLast;
+        step.allocated = true;
+        step.newHitLast = false;
+        step.evicted = true;
+        step.victimTag = line.tag;
+        step.victimHitLast = line.hitLastCopy;
+        line.tag = tag;
+        line.sticky = sticky_max;
+        line.hitLastCopy = false;
+        return step;
+    }
+    step.event = FsmEvent::Bypass;
+    line.sticky = static_cast<std::uint8_t>(line.sticky - 1);
+    return step;
+}
 
 /**
  * The hierarchy as first written: geometry divided out on every
@@ -122,7 +200,8 @@ class ReferenceHierarchy
 
         const bool inclusive_l2 = cfg.policy == HitLastPolicy::AssumeHit;
         const bool h = lookupHitLast(block, l2_hit);
-        const FsmStep step = exclusionStep(l1, block, h, cfg.stickyMax);
+        const ReferenceFsmStep step =
+            referenceFsmStep(l1, block, h, cfg.stickyMax);
         if (step.newHitLast)
             updateHitLast(block, *step.newHitLast);
 
@@ -204,7 +283,7 @@ class ReferenceHierarchy
     }
 
     HierarchyConfig cfg;
-    std::vector<ExclusionLine> l1Lines;
+    std::vector<ReferenceL1Line> l1Lines;
     std::vector<L2Line> l2Lines;
     std::unique_ptr<HitLastStore> sideStore;
     std::unique_ptr<HitLastStore> l2HitLast;

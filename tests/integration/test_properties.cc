@@ -11,6 +11,7 @@
 #include "cache/optimal.h"
 #include "cache/set_assoc.h"
 #include "cache/victim.h"
+#include "sim/kernel.h"
 #include "trace/next_use.h"
 #include "util/rng.h"
 
@@ -62,27 +63,80 @@ TEST_P(TraceProperty, OptimalLowerBoundsEveryDirectMappedPolicy)
     }
     EXPECT_LE(opt.stats().misses, dm.stats().misses);
     EXPECT_LE(opt.stats().misses, de.stats().misses);
+
+    // The kernel's legs, whose optimal lane always runs the last-line
+    // register over a RunStart oracle.
+    const NextUseIndex runs(trace, 4, NextUseMode::RunStart);
+    const std::vector<std::uint64_t> sizes = {64, 256, 1024, 4096};
+    const auto legs = replayTriadKernel(trace, runs, sizes, 4);
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
+        EXPECT_LE(legs[s].opt.misses, legs[s].dm.misses) << sizes[s];
+        EXPECT_LE(legs[s].opt.misses, legs[s].de.misses) << sizes[s];
+    }
+}
+
+/** The identities of a direct-mapped policy that may bypass: every
+ * miss either fills or bypasses, and every fill but a cold one evicts. */
+void
+expectExactIdentities(const CacheStats &s, std::uint64_t refs,
+                      const std::string &label)
+{
+    EXPECT_EQ(s.accesses, refs) << label;
+    EXPECT_EQ(s.hits + s.misses, s.accesses) << label;
+    EXPECT_EQ(s.fills + s.bypasses, s.misses) << label;
+    EXPECT_EQ(s.evictions, s.fills - s.coldMisses) << label;
 }
 
 TEST_P(TraceProperty, StatsAreInternallyConsistent)
 {
     const CacheGeometry geo = CacheGeometry::directMapped(512, 16);
+    const NextUseIndex index(trace, 16);
+    DirectMappedCache dm(geo);
     DynamicExclusionCache de(geo);
+    OptimalDirectMappedCache opt(geo, index);
     VictimCache victim(geo, 4);
     SetAssocCache sa(CacheGeometry::setAssociative(512, 16, 4));
     for (std::size_t i = 0; i < trace.size(); ++i) {
+        dm.access(trace[i], i);
         de.access(trace[i], i);
+        opt.access(trace[i], i);
         victim.access(trace[i], i);
         sa.access(trace[i], i);
     }
     for (const CacheModel *cache :
-         {static_cast<const CacheModel *>(&de),
-          static_cast<const CacheModel *>(&victim),
+         {static_cast<const CacheModel *>(&dm),
+          static_cast<const CacheModel *>(&de),
+          static_cast<const CacheModel *>(&opt)})
+        expectExactIdentities(cache->stats(), trace.size(),
+                              cache->name());
+    for (const CacheModel *cache :
+         {static_cast<const CacheModel *>(&victim),
           static_cast<const CacheModel *>(&sa)}) {
         const auto &s = cache->stats();
         EXPECT_EQ(s.accesses, trace.size()) << cache->name();
         EXPECT_EQ(s.hits + s.misses, s.accesses) << cache->name();
         EXPECT_LE(s.bypasses + s.fills, s.misses + 1) << cache->name();
+    }
+
+    // Every leg of the kernel, with and without the last-line buffer.
+    const std::vector<std::uint64_t> sizes = {256, 1024, 4096};
+    for (const std::uint32_t line : {4u, 16u}) {
+        const NextUseIndex runs(trace, line, NextUseMode::RunStart);
+        DynamicExclusionConfig config;
+        config.useLastLine = line > 4;
+        const auto legs =
+            replayTriadKernel(trace, runs, sizes, line, config);
+        for (std::size_t s = 0; s < sizes.size(); ++s) {
+            const std::string label = "kernel line " +
+                                      std::to_string(line) + " size " +
+                                      std::to_string(sizes[s]);
+            expectExactIdentities(legs[s].dm, trace.size(),
+                                  "dm " + label);
+            expectExactIdentities(legs[s].de, trace.size(),
+                                  "de " + label);
+            expectExactIdentities(legs[s].opt, trace.size(),
+                                  "opt " + label);
+        }
     }
 }
 

@@ -145,11 +145,8 @@ TEST(MetricsReport, LegSlotsMatchTheSweepOutcome)
         EXPECT_EQ(leg.dm.missPercent(), point.dmMissPct);
         EXPECT_EQ(leg.de.missPercent(), point.deMissPct);
         EXPECT_EQ(leg.opt.missPercent(), point.optMissPct);
-        if (FsmEventCounts::enabled) {
-            EXPECT_EQ(leg.deEvents.of(FsmEvent::Hit), leg.de.hits);
-            EXPECT_EQ(leg.deEvents.of(FsmEvent::Bypass),
-                      leg.de.bypasses);
-        }
+        EXPECT_EQ(leg.deEvents.of(FsmEvent::Hit), leg.de.hits);
+        EXPECT_EQ(leg.deEvents.of(FsmEvent::Bypass), leg.de.bypasses);
     }
 }
 

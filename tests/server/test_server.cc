@@ -512,6 +512,29 @@ TEST(ServerEndToEnd, InvalidRequestsKeepTheConnectionOpen)
     EXPECT_EQ(server.counters().errors, 3u);
 }
 
+TEST(ServerEndToEnd, OneByteLinesAreCorruptInput)
+{
+    Server server(benchServer("nasa7"));
+    ASSERT_TRUE(server.start().ok());
+    Client client = mustConnect(server);
+
+    SweepRequest sweep;
+    sweep.trace = "nasa7";
+    sweep.lineBytes = 1;
+    EXPECT_EQ(client.sweep(sweep).status().code(),
+              StatusCode::CorruptInput);
+    sweep.sizes = {1024, 4096};
+    EXPECT_EQ(client.sweep(sweep).status().code(),
+              StatusCode::CorruptInput);
+
+    ReplayRequest replay;
+    replay.trace = "nasa7";
+    replay.lineBytes = 1;
+    EXPECT_EQ(client.replay(replay).status().code(),
+              StatusCode::CorruptInput);
+    EXPECT_TRUE(client.ping().ok());
+}
+
 TEST(ServerEndToEnd, ResponseTypedFrameIsRejectedAsARequest)
 {
     Server server(benchServer("fpppp"));

@@ -181,6 +181,13 @@ TEST(KernelReplay, SparseBlocksFallBackToTheIdealStore)
         far.append(ifetch(page + 4 * rng.nextBelow(64)));
     }
     cases.push_back({"far", far, 4, {}});
+    // Address ~0 at the smallest line is block 2^63 - 1, an ordinary
+    // block; at the one-byte lines the geometry rejects it would be the
+    // kAddrInvalid tag an empty lane holds.
+    Trace top("top");
+    for (const Addr addr : {~Addr{0}, Addr{0x10}, ~Addr{0}})
+        top.append(load(addr));
+    cases.push_back({"top", top, 2, {}});
 
     const std::vector<std::uint64_t> sizes = {256, 4096};
     for (const unsigned workers : {1u, 8u}) {

@@ -21,6 +21,17 @@ TEST(Sweep, PaperAxesAreTheFiguresAxes)
     EXPECT_EQ(lines.back(), 64u);
 }
 
+TEST(Sweep, AxisRejectsLinesBelowTwoBytes)
+{
+    for (const std::uint32_t line : {0u, 1u, 3u}) {
+        const Status status = validateSweepAxis({4, 64}, line);
+        EXPECT_EQ(status.code(), StatusCode::CorruptInput) << line;
+        EXPECT_NE(status.message().find("line size"), std::string::npos)
+            << status.toString();
+    }
+    EXPECT_TRUE(validateSweepAxis({4, 64}, 2).ok());
+}
+
 TEST(Sweep, MissRatesFallWithCacheSize)
 {
     // A conflict-heavy pattern over a few hundred bytes of "code".

@@ -344,6 +344,18 @@ TEST(CliTool, RejectsBadSize)
     EXPECT_NE(result.output.find("bad size"), std::string::npos);
 }
 
+TEST(CliTool, RejectsOneByteLinesAsDataErrors)
+{
+    for (const char *command : {"sweep", "triad", "sim", "analyze"}) {
+        const auto result = runCli(std::string(command) +
+                                   " li --line 1 --refs 1000");
+        EXPECT_EQ(result.exitCode, 4) << command << ": " << result.output;
+        EXPECT_NE(result.output.find("at least 2 bytes"),
+                  std::string::npos)
+            << command << ": " << result.output;
+    }
+}
+
 TEST(CliTool, RejectsUnknownBenchmark)
 {
     const auto result = runCli("sim nosuchthing --refs 1000");

@@ -175,6 +175,13 @@ TEST(CampaignParse, ValidatesTheSizeAxis)
                             "  lines 2048;\n"
                             "}\n");
     ASSERT_FALSE(tiny.ok());
+    // One-byte lines, on any entry of the line axis.
+    const auto byte = parse("campaign \"x\" {\n"
+                            "  trace bench espresso;\n"
+                            "  lines 16, 1;\n"
+                            "}\n");
+    ASSERT_FALSE(byte.ok());
+    EXPECT_EQ(byte.status().code(), StatusCode::CorruptInput);
 }
 
 TEST(CampaignParse, CapsAreResourceLimits)

@@ -801,9 +801,23 @@ cmdCampaign(const std::string &verb, const std::string &spec_path,
     return rc;
 }
 
+/** Check a local run's cache sizes against --line the way a campaign
+ * or the daemon checks its axis. @return kExitOk, or the exit code of
+ * the CorruptInput it printed. */
+int
+checkAxis(const std::vector<std::uint64_t> &sizes, const Options &options)
+{
+    const Status status = validateSweepAxis(sizes, options.lineBytes);
+    if (!status.ok())
+        std::fprintf(stderr, "dynex: %s\n", status.toString().c_str());
+    return exitCodeFor(status);
+}
+
 int
 cmdSim(const std::string &target, const Options &options)
 {
+    if (const int bad = checkAxis({options.sizeBytes}, options))
+        return bad;
     int rc = kExitInternal;
     const auto trace = resolveTrace(target, options, rc);
     if (!trace)
@@ -842,6 +856,8 @@ cmdSim(const std::string &target, const Options &options)
 int
 cmdTriad(const std::string &target, const Options &options)
 {
+    if (const int bad = checkAxis({options.sizeBytes}, options))
+        return bad;
     applyThreads(options);
     int rc = kExitInternal;
     const auto trace = resolveTrace(target, options, rc);
@@ -992,6 +1008,8 @@ class SweepObservation
 int
 cmdSweep(const std::string &target, const Options &options)
 {
+    if (const int bad = checkAxis(paperCacheSizes(), options))
+        return bad;
     applyThreads(options);
     int rc = kExitInternal;
     const auto trace = resolveTrace(target, options, rc);
@@ -1061,6 +1079,8 @@ cmdSweep(const std::string &target, const Options &options)
 int
 cmdAnalyze(const std::string &target, const Options &options)
 {
+    if (const int bad = checkAxis({options.sizeBytes}, options))
+        return bad;
     int rc = kExitInternal;
     const auto trace = resolveTrace(target, options, rc);
     if (!trace)

@@ -27,14 +27,13 @@ main()
                               "dynamic-exclusion %", "optimal %",
                               "de gain %"});
 
-    DynamicExclusionConfig config;
     std::vector<double> gains;
     bool rates_fall = true;
     double prev_dm = 1e9;
     for (const std::uint32_t line : paperLineSizes()) {
-        config.useLastLine = line > kWordLine;
-        const auto points = sweepSuiteLineSizes(
-            suiteNames(), refs(), kCacheBytes, {line}, config);
+        const auto points =
+            sweepSuiteLineSizes(suiteNames(), refs(), kCacheBytes, {line},
+                                sweepLegConfig(line, 1).value());
         const auto &p = points.front();
         gains.push_back(p.deImprovementPct());
         report.table().addRow({formatSize(line),

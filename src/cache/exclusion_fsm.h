@@ -3,7 +3,8 @@
  * The dynamic-exclusion finite state machine of McFarling (ISCA 1992),
  * Figure 1, as the one per-line transition function every
  * dynamic-exclusion replay calls: the single-level models, the L1 of
- * the two-level hierarchy, and the SoA replay kernel.
+ * the two-level hierarchy, and the SoA replay kernel. The L2 of the
+ * hierarchy runs a variant of it, l2ExclusionStep, at the end.
  *
  * Each cache line carries a sticky state; each *address* carries a
  * hit-last bit h[x] stored outside the line (see hit_last.h for the
@@ -118,6 +119,40 @@ exclusionStep(Addr &tag, std::uint8_t &sticky, Addr block, bool h,
     tag = (tag & keep) | (block & ~keep);
     sticky = bypass ? static_cast<std::uint8_t>(sticky - 1) : sticky_max;
     return event;
+}
+
+/**
+ * The exclusion rule of the L2 in the two-level hierarchy
+ * (TwoLevelCache with l2DynamicExclusion): apply a fill of block
+ * @p block from memory to an L2 line whose fields are @p valid,
+ * @p tag and @p sticky, with h2 the L2's own hit-last bit for the
+ * block. A valid line holding another block takes exclusionStep's
+ * conflict arcs; the caller installs the block unless the arc is
+ * Bypass, and writes h2 on the arcs that displace a resident
+ * (fsmEvicts, with fsmNewHitLast).
+ *
+ * It differs from Figure 1 in three ways:
+ *   - a cold L2 fill (an invalid line) installs without writing h2,
+ *     where Figure 1's ColdFill sets h := 1;
+ *   - only memory fills run it: a victim moving down from the L1
+ *     installs unconditionally;
+ *   - an L2 hit is not a step here: probeL2 re-arms the line
+ *     (s := max, h2 := 1), as Figure 1's Hit arc does.
+ *
+ * @param valid whether the line holds a block (an exclusive-style
+ *        promotion clears it and leaves the stale tag).
+ * @return ColdFill for an invalid line, else exclusionStep's arc.
+ */
+inline FsmEvent
+l2ExclusionStep(bool valid, Addr &tag, std::uint8_t &sticky, Addr block,
+                bool h2, std::uint8_t sticky_max)
+{
+    if (!valid) {
+        tag = block;
+        sticky = sticky_max;
+        return FsmEvent::ColdFill;
+    }
+    return exclusionStep(tag, sticky, block, h2, sticky_max);
 }
 
 } // namespace dynex

@@ -127,21 +127,21 @@ TwoLevelCache::installL2(Addr block, bool hit_last, bool forced)
 {
     auto &line = l2Lines[block & l2Mask];
 
-    if (!forced && cfg.l2DynamicExclusion && line.valid &&
-        line.tag != block) {
-        // The L2's own exclusion FSM: a sticky L2 resident survives a
-        // memory fill unless the incoming block hit last time it was
-        // in the L2.
-        const bool h2 = l2HitLast->lookup(block);
-        if (line.sticky > 0 && !h2) {
-            --line.sticky;
-            return; // bypassed: the line lives only above/beside L2
+    if (!forced && cfg.l2DynamicExclusion) {
+        // A sticky L2 resident survives a memory fill unless the
+        // incoming block hit last time it was in the L2.
+        const FsmEvent event =
+            l2ExclusionStep(line.valid, line.tag, line.sticky, block,
+                            l2HitLast->lookup(block), cfg.stickyMax);
+        if (event == FsmEvent::Bypass)
+            return; // the line lives only above/beside L2
+        if (fsmEvicts(event)) {
+            l2HitLast->update(block, fsmNewHitLast(event));
+            ++statsData.l2.evictions;
         }
-        l2HitLast->update(block, line.sticky > 0 ? false : true);
-    }
-
-    if (line.valid && line.tag != block)
+    } else if (line.valid && line.tag != block) {
         ++statsData.l2.evictions;
+    }
     line.tag = block;
     line.valid = true;
     line.hitLast = hit_last;

@@ -194,7 +194,8 @@ class TwoLevelCache
     bool probeL2(Addr block);
 
     /** Install @p block into L2 (used for fills and victim installs).
-     * @param forced victim installs bypass the L2 FSM. */
+     * @param forced victim installs bypass the L2 FSM
+     *        (l2ExclusionStep). */
     void installL2(Addr block, bool hit_last, bool forced);
 
     HierarchyConfig cfg;

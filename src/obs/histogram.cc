@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <string>
 
 namespace dynex
 {
@@ -37,14 +38,15 @@ latencyName(Latency series)
 }
 
 std::size_t
-histogramBucket(std::uint64_t ns)
+histogramBucket(std::uint64_t value)
 {
-    return ns <= 1 ? 0
-                   : static_cast<std::size_t>(63 - std::countl_zero(ns));
+    return value <= 1
+               ? 0
+               : static_cast<std::size_t>(63 - std::countl_zero(value));
 }
 
 std::uint64_t
-histogramBucketUpperNs(std::size_t index)
+histogramBucketUpper(std::size_t index)
 {
     if (index >= kHistogramBuckets - 1)
         return ~0ull;
@@ -52,20 +54,28 @@ histogramBucketUpperNs(std::size_t index)
 }
 
 void
-HistogramSnapshot::merge(const HistogramSnapshot &other)
+Log2Histogram::add(std::uint64_t value, std::uint64_t weight)
+{
+    buckets[histogramBucket(value)] += weight;
+    count += weight;
+    sum += value * weight;
+    if (value > max)
+        max = value;
+}
+
+void
+Log2Histogram::merge(const Log2Histogram &other)
 {
     for (std::size_t i = 0; i < kHistogramBuckets; ++i)
         buckets[i] += other.buckets[i];
     count += other.count;
-    sumNs += other.sumNs;
-    maxNs = maxNs < other.maxNs ? other.maxNs : maxNs;
+    sum += other.sum;
+    max = max < other.max ? other.max : max;
 }
 
-std::uint64_t
-HistogramSnapshot::percentileNs(double q) const
+std::size_t
+Log2Histogram::quantileBucket(double q) const
 {
-    if (count == 0)
-        return 0;
     // Rank of the q-th sample, 1-based, clamped into [1, count].
     std::uint64_t rank =
         static_cast<std::uint64_t>(q * static_cast<double>(count));
@@ -76,12 +86,34 @@ HistogramSnapshot::percentileNs(double q) const
     std::uint64_t seen = 0;
     for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
         seen += buckets[i];
-        if (seen >= rank) {
-            const std::uint64_t upper = histogramBucketUpperNs(i);
-            return upper < maxNs ? upper : maxNs;
-        }
+        if (seen >= rank)
+            return i;
     }
-    return maxNs;
+    return 0;
+}
+
+std::uint64_t
+Log2Histogram::percentile(double q) const
+{
+    if (count == 0)
+        return 0;
+    const std::uint64_t upper = histogramBucketUpper(quantileBucket(q));
+    return upper < max ? upper : max;
+}
+
+std::string
+Log2Histogram::toString() const
+{
+    std::string out;
+    for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
+        if (buckets[i] == 0)
+            continue;
+        const std::uint64_t lo = i == 0 ? 0 : std::uint64_t{1} << i;
+        out += "[" + std::to_string(lo) + ", " +
+               std::to_string(histogramBucketUpper(i)) +
+               "]: " + std::to_string(buckets[i]) + "\n";
+    }
+    return out;
 }
 
 HistogramSet::HistogramSet() : setId(nextSetId.fetch_add(1)) {}
@@ -103,45 +135,32 @@ HistogramSet::shardForThisThread()
 void
 HistogramSet::record(Latency series, std::uint64_t ns)
 {
-    Shard::Series &s =
-        shardForThisThread().series[static_cast<std::size_t>(series)];
-    ++s.buckets[histogramBucket(ns)];
-    ++s.count;
-    s.sumNs += ns;
-    if (ns > s.maxNs)
-        s.maxNs = ns;
+    shardForThisThread().series[static_cast<std::size_t>(series)].add(ns);
 }
 
-HistogramSnapshot
+Log2Histogram
 HistogramSet::snapshot(Latency series) const
 {
     const std::size_t index = static_cast<std::size_t>(series);
-    HistogramSnapshot snap;
+    Log2Histogram snap;
     std::lock_guard<std::mutex> lock(shardMutex);
-    for (const auto &shard : shards) {
-        const Shard::Series &s = shard->series[index];
-        for (std::size_t i = 0; i < kHistogramBuckets; ++i)
-            snap.buckets[i] += s.buckets[i];
-        snap.count += s.count;
-        snap.sumNs += s.sumNs;
-        if (s.maxNs > snap.maxNs)
-            snap.maxNs = s.maxNs;
-    }
+    for (const auto &shard : shards)
+        snap.merge(shard->series[index]);
     return snap;
 }
 
 void
 appendSnapshotRows(
-    const std::string &name, const HistogramSnapshot &snap,
+    const std::string &name, const Log2Histogram &snap,
     std::vector<std::pair<std::string, std::uint64_t>> &rows)
 {
     const std::string prefix = "lat-" + name;
     rows.emplace_back(prefix + "-count", snap.count);
-    rows.emplace_back(prefix + "-sum-us", snap.sumNs / 1000);
-    rows.emplace_back(prefix + "-p50-us", snap.percentileNs(0.50) / 1000);
-    rows.emplace_back(prefix + "-p95-us", snap.percentileNs(0.95) / 1000);
-    rows.emplace_back(prefix + "-p99-us", snap.percentileNs(0.99) / 1000);
-    rows.emplace_back(prefix + "-max-us", snap.maxNs / 1000);
+    rows.emplace_back(prefix + "-sum-us", snap.sum / 1000);
+    rows.emplace_back(prefix + "-p50-us", snap.percentile(0.50) / 1000);
+    rows.emplace_back(prefix + "-p95-us", snap.percentile(0.95) / 1000);
+    rows.emplace_back(prefix + "-p99-us", snap.percentile(0.99) / 1000);
+    rows.emplace_back(prefix + "-max-us", snap.max / 1000);
     // Cumulative bucket rows up to the highest non-empty bucket: the
     // Prometheus renderer turns these into classic `le` buckets.
     std::size_t top = 0;
@@ -152,7 +171,7 @@ appendSnapshotRows(
     for (std::size_t i = 0; i <= top; ++i) {
         cumulative += snap.buckets[i];
         rows.emplace_back(prefix + "-le-" +
-                              std::to_string(histogramBucketUpperNs(i)),
+                              std::to_string(histogramBucketUpper(i)),
                           cumulative);
     }
 }
@@ -163,7 +182,7 @@ HistogramSet::appendStatsRows(
 {
     for (std::size_t i = 0; i < kLatencyCount; ++i) {
         const Latency series = static_cast<Latency>(i);
-        const HistogramSnapshot snap = snapshot(series);
+        const Log2Histogram snap = snapshot(series);
         if (snap.count == 0)
             continue;
         appendSnapshotRows(latencyName(series), snap, rows);

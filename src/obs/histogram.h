@@ -1,22 +1,26 @@
 /**
  * @file
- * Deterministic log-bucketed latency histograms for the serving path.
+ * The one log2 histogram, and the deterministic latency histograms of
+ * the serving path built on it.
  *
- * A LatencyHistogram is 64 fixed log2 buckets over nanoseconds: bucket
- * i counts samples in [2^i, 2^(i+1)) (a value of 0 lands in bucket 0).
- * Recording is an increment into a per-thread shard — no allocation,
- * no locking after a thread's first touch — and aggregation is an
+ * A Log2Histogram is 64 fixed log2 buckets: bucket i counts samples in
+ * [2^i, 2^(i+1)) (a value of 0 lands in bucket 0), which covers the
+ * whole u64 range. It records server latencies in nanoseconds and, in
+ * `dynex analyze`, block reuse distances in lines. Aggregation is an
  * integer sum of bucket counts, which is associative and therefore
- * independent of recording order and worker count. Percentiles are a
- * pure function of the merged bucket counts, so for a fixed sample
- * set the exported p50/p95/p99/max rows are bit-identical whether the
- * server ran 1, 2 or 8 workers.
+ * independent of recording order and worker count; quantiles are a
+ * pure function of the bucket counts.
  *
- * HistogramSet bundles one histogram per Latency series (end-to-end
- * latency per request type, queue wait, admission decision, store
- * load, replay, serialize) behind the same active-pointer install
- * pattern as MetricsCollector, and exports snapshots as the `lat-*`
- * STATS rows the CLI dashboard and Prometheus exposition render.
+ * A HistogramSet holds one Log2Histogram per Latency series
+ * (end-to-end latency per request type, queue wait, admission
+ * decision, store load, replay, serialize) in per-thread shards.
+ * Recording is an increment into the calling thread's shard (no
+ * allocation, no locking after a thread's first touch), so for a fixed
+ * sample set the exported p50/p95/p99/max rows are bit-identical
+ * whether the server ran 1, 2 or 8 workers. The set sits behind the
+ * same active-pointer install pattern as MetricsCollector, and exports
+ * snapshots as the `lat-*` STATS rows the CLI dashboard and Prometheus
+ * exposition render.
  */
 
 #ifndef DYNEX_OBS_HISTOGRAM_H
@@ -53,40 +57,50 @@ enum class Latency : std::uint8_t
 
 inline constexpr std::size_t kLatencyCount = 11;
 
-/** Number of log2 buckets; covers the full u64 nanosecond range. */
+/** Number of log2 buckets; covers the full u64 range. */
 inline constexpr std::size_t kHistogramBuckets = 64;
 
 /** Stable lowercase name ("e2e-ping", "queue-wait", ...). */
 const char *latencyName(Latency series);
 
-/**
- * The merged, immutable view of one histogram. Percentile queries and
- * row export all run on snapshots, never on live shards.
- */
-struct HistogramSnapshot
-{
-    std::array<std::uint64_t, kHistogramBuckets> buckets{};
-    std::uint64_t count = 0;
-    std::uint64_t sumNs = 0;
-    std::uint64_t maxNs = 0;
-
-    /** Fold another snapshot in (order-independent integer sums). */
-    void merge(const HistogramSnapshot &other);
-
-    /**
-     * The smallest bucket upper bound whose cumulative count reaches
-     * @p q (in [0,1]) of the total, clamped to maxNs so a one-sample
-     * histogram reports the sample, not its bucket ceiling. 0 when
-     * empty.
-     */
-    std::uint64_t percentileNs(double q) const;
-};
-
-/** The log2 bucket for @p ns: floor(log2(ns)), 0 for ns <= 1. */
-std::size_t histogramBucket(std::uint64_t ns);
+/** The log2 bucket for @p value: floor(log2(value)), 0 for value <= 1. */
+std::size_t histogramBucket(std::uint64_t value);
 
 /** Inclusive upper bound of bucket @p index (2^(i+1) - 1, saturated). */
-std::uint64_t histogramBucketUpperNs(std::size_t index);
+std::uint64_t histogramBucketUpper(std::size_t index);
+
+/** A histogram over kHistogramBuckets log2 buckets (see the file
+ * comment). Percentile queries and row export run on a merged value,
+ * never on live shards. */
+struct Log2Histogram
+{
+    std::array<std::uint64_t, kHistogramBuckets> buckets{};
+    std::uint64_t count = 0; ///< total weight of all samples
+    std::uint64_t sum = 0;   ///< sum of value x weight
+    std::uint64_t max = 0;   ///< largest value added
+
+    /** Add @p weight samples of @p value. */
+    void add(std::uint64_t value, std::uint64_t weight = 1);
+
+    /** Fold another histogram in (order-independent integer sums). */
+    void merge(const Log2Histogram &other);
+
+    /**
+     * The first bucket whose cumulative count reaches rank
+     * q x count, the rank clamped into [1, count] (so a one-sample
+     * histogram answers with the sample's bucket for every q). 0 when
+     * empty. @p q is in [0,1].
+     */
+    std::size_t quantileBucket(double q) const;
+
+    /** The upper bound of quantileBucket(@p q), clamped to max so a
+     * one-sample histogram reports the sample, not its bucket
+     * ceiling. 0 when empty. */
+    std::uint64_t percentile(double q) const;
+
+    /** Render the non-empty buckets as "[lo, hi]: count" lines. */
+    std::string toString() const;
+};
 
 /**
  * One process's set of latency histograms: per-thread shards, each
@@ -103,8 +117,8 @@ class HistogramSet
     /** Record @p ns into @p series on this thread's shard. */
     void record(Latency series, std::uint64_t ns);
 
-    /** Merge all shards of @p series into one snapshot. */
-    HistogramSnapshot snapshot(Latency series) const;
+    /** Merge all shards of @p series into one histogram. */
+    Log2Histogram snapshot(Latency series) const;
 
     /**
      * Append the `lat-*` STATS rows for every non-empty series, in
@@ -119,14 +133,7 @@ class HistogramSet
   private:
     struct Shard
     {
-        struct Series
-        {
-            std::array<std::uint64_t, kHistogramBuckets> buckets{};
-            std::uint64_t count = 0;
-            std::uint64_t sumNs = 0;
-            std::uint64_t maxNs = 0;
-        };
-        std::array<Series, kLatencyCount> series{};
+        std::array<Log2Histogram, kLatencyCount> series{};
     };
 
     Shard &shardForThisThread();
@@ -146,13 +153,14 @@ HistogramSet *activeHistograms();
 void setActiveHistograms(HistogramSet *set);
 
 /**
- * Append one snapshot's rows under @p name using the export naming
- * convention (`lat-<name>-count`, `-sum-us`, `-p50-us`, `-p95-us`,
- * `-p99-us`, `-max-us`, then `-le-<ns>` cumulative buckets). Shared by
- * HistogramSet::appendStatsRows and tests.
+ * Append one latency snapshot's rows (values in ns) under @p name
+ * using the export naming convention (`lat-<name>-count`, `-sum-us`,
+ * `-p50-us`, `-p95-us`, `-p99-us`, `-max-us`, then `-le-<ns>`
+ * cumulative buckets). Shared by HistogramSet::appendStatsRows and
+ * tests.
  */
 void appendSnapshotRows(
-    const std::string &name, const HistogramSnapshot &snap,
+    const std::string &name, const Log2Histogram &snap,
     std::vector<std::pair<std::string, std::uint64_t>> &rows);
 
 } // namespace obs

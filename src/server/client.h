@@ -44,6 +44,9 @@ namespace dynex
 namespace server
 {
 
+/** Most retries the tools' --retries flags accept. */
+inline constexpr unsigned kMaxRetries = 1000;
+
 /** How a Client retries failed calls. Default: no retries. */
 struct RetryPolicy
 {

@@ -16,9 +16,7 @@
 #include "sim/runner.h"
 #include "sim/sweep.h"
 #include "sim/workloads.h"
-#include "trace/mmap_io.h"
-#include "trace/text_io.h"
-#include "trace/trace_io.h"
+#include "trace/trace_path.h"
 #include "tracegen/spec.h"
 #include "util/string_utils.h"
 #include "util/thread_pool.h"
@@ -34,12 +32,6 @@ namespace
 
 /** Poll interval for the listener / worker wakeup checks. */
 constexpr std::uint32_t kWakeupMs = 200;
-
-bool isDinPath(const std::string &path)
-{
-    return path.size() >= 4 &&
-           iequals(path.substr(path.size() - 4), ".din");
-}
 
 /** Uploaded traces key into the TraceStore as "put:<name>#v<N>". */
 bool isPutKey(const std::string &key)
@@ -71,11 +63,6 @@ bool validModel(const std::string &model)
            iequals(model, "2way") || iequals(model, "4way") ||
            iequals(model, "8way") || iequals(model, "fa") ||
            iequals(model, "opt");
-}
-
-Status validGeometry(std::uint64_t size_bytes, std::uint32_t line_bytes)
-{
-    return validateSweepAxis({size_bytes}, line_bytes);
 }
 
 void chargeActive(obs::Counter counter, std::uint64_t delta)
@@ -158,9 +145,7 @@ Server::Server(ServerConfig server_config)
                                          : Workloads::defaultRefs();
                   return Trace(*Workloads::instructions(name, refs));
               }
-              return isDinPath(served->path)
-                         ? readDinTraceFile(served->path)
-                         : readTraceFileFast(served->path);
+              return readTracePath(served->path);
           },
           config.storeBudgetBytes,
           [this](const std::string &name) -> std::uint64_t {
@@ -513,11 +498,15 @@ std::uint64_t Server::estimateRefs(const std::string &trace_name) const
     // format (~2 B/ref for DXT3, ~10 B/ref for DXT1/DXT2, ~12 B/line
     // for din text). Only the magnitude matters — the EWMA absorbs
     // the rest.
-    const std::string &path = served->path;
-    if (path.size() >= 5 && iequals(path.substr(path.size() - 5), ".dxt3"))
+    switch (tracePathFormat(served->path))
+    {
+    case TracePathFormat::Dxt3:
         return served->fileBytes / 2;
-    if (isDinPath(path))
+    case TracePathFormat::Din:
         return served->fileBytes / 12;
+    case TracePathFormat::Binary:
+        break;
+    }
     return served->fileBytes / 10;
 }
 
@@ -725,9 +714,12 @@ std::string Server::handleReplay(const ReplayRequest &request,
         return errorFrame(Status::corruptInput("unknown model '" +
                                                request.model + "'"));
     const Status geometry =
-        validGeometry(request.sizeBytes, request.lineBytes);
+        validateSweepAxis({request.sizeBytes}, request.lineBytes);
     if (!geometry.ok())
         return errorFrame(geometry);
+    const Status sticky = validateStickyMax(request.stickyMax);
+    if (!sticky.ok())
+        return errorFrame(sticky);
     Status deadline = checkDeadline(ctx.arrivalNs, request.deadlineMs);
     if (!deadline.ok())
         return errorFrame(deadline);
@@ -823,21 +815,20 @@ std::string Server::handleSweep(const SweepRequest &request,
                                 const RequestContext &ctx,
                                 const std::string &client_id)
 {
-    // Empty = the paper's default axis; a custom axis gets the same
-    // validation a campaign spec does.
+    // Empty = the paper's default axis. Either axis gets the checks a
+    // campaign spec and `dynex sweep` make: every size must hold a
+    // line, not only the largest.
     const std::vector<std::uint64_t> &axis =
         request.sizes.empty() ? paperCacheSizes() : request.sizes;
-    if (!request.sizes.empty())
-    {
-        const Status valid =
-            validateSweepAxis(request.sizes, request.lineBytes);
-        if (!valid.ok())
-            return errorFrame(valid);
-    }
-    const Status geometry =
-        validGeometry(axis.back(), request.lineBytes);
-    if (!geometry.ok())
-        return errorFrame(geometry);
+    const Status valid = validateSweepAxis(axis, request.lineBytes);
+    if (!valid.ok())
+        return errorFrame(valid);
+    // The CLI's sweep configuration exactly: responses must be
+    // byte-identical to a local `dynex sweep` of the same trace.
+    const Result<DynamicExclusionConfig> sweepConfig =
+        sweepLegConfig(request.lineBytes, request.stickyMax);
+    if (!sweepConfig.ok())
+        return errorFrame(sweepConfig.status());
     const std::optional<ReplayEngine> engine =
         replayEngineFromWireCode(request.engine);
     if (!engine)
@@ -880,17 +871,12 @@ std::string Server::handleSweep(const SweepRequest &request,
     if (!deadline.ok())
         return errorFrame(deadline);
 
-    // Mirror the CLI's sweep configuration exactly: responses must be
-    // byte-identical to a local `dynex sweep` of the same trace.
-    DynamicExclusionConfig sweepConfig;
-    sweepConfig.stickyMax = request.stickyMax;
-    sweepConfig.useLastLine = request.lineBytes > 4;
     const SizeSweepOutcome outcome = [&] {
         obs::ScopedSpan span("srv", "replay", ctx.traceId);
         const std::uint64_t replayStartNs = obs::monotonicNs();
         SizeSweepOutcome swept = sweepSizesChecked(
             *warm.value().trace, *warm.value().index, axis,
-            request.lineBytes, sweepConfig, *engine);
+            request.lineBytes, sweepConfig.value(), *engine);
         recordLatency(obs::Latency::Replay,
                       obs::monotonicNs() - replayStartNs);
         return swept;

@@ -63,7 +63,7 @@ conflictCensus(const Trace &trace, const CacheGeometry &geometry,
     return census;
 }
 
-Log2Histogram
+obs::Log2Histogram
 reuseDistanceHistogram(const Trace &trace, std::uint64_t block_size)
 {
     DYNEX_ASSERT(isPowerOfTwo(block_size),
@@ -74,7 +74,7 @@ reuseDistanceHistogram(const Trace &trace, std::uint64_t block_size)
     // consecutive uses of a block. This overcounts a true LRU stack
     // distance when blocks repeat in the window, but preserves the
     // short/long separation the analysis needs, in O(n).
-    Log2Histogram histogram;
+    obs::Log2Histogram histogram;
     std::unordered_map<Addr, Count> last_epoch;
     Count epoch = 0;
     Addr prev_block = kAddrInvalid;

@@ -15,8 +15,8 @@
 
 #include "cache/cache.h"
 #include "cache/config.h"
+#include "obs/histogram.h"
 #include "trace/trace.h"
-#include "util/histogram.h"
 
 namespace dynex
 {
@@ -62,8 +62,8 @@ ConflictCensus conflictCensus(const Trace &trace,
  * by powers of two). Short distances mean live conflicts; distances
  * beyond the cache's line count are capacity traffic.
  */
-Log2Histogram reuseDistanceHistogram(const Trace &trace,
-                                     std::uint64_t block_size);
+obs::Log2Histogram reuseDistanceHistogram(const Trace &trace,
+                                          std::uint64_t block_size);
 
 /** Statistics split at a warmup boundary. */
 struct WarmSplit

@@ -68,6 +68,27 @@ validateSweepAxis(const std::vector<std::uint64_t> &sizes,
     return Status();
 }
 
+Status
+validateStickyMax(std::uint64_t sticky_max)
+{
+    if (sticky_max < 1 || sticky_max > kMaxStickyMax)
+        return Status::corruptInput(
+            "sticky count " + std::to_string(sticky_max) +
+            " is not in 1.." + std::to_string(kMaxStickyMax));
+    return Status();
+}
+
+Result<DynamicExclusionConfig>
+sweepLegConfig(std::uint32_t line_bytes, std::uint64_t sticky_max)
+{
+    if (Status valid = validateStickyMax(sticky_max); !valid.ok())
+        return valid;
+    DynamicExclusionConfig config;
+    config.stickyMax = static_cast<std::uint8_t>(sticky_max);
+    config.useLastLine = line_bytes > 4;
+    return config;
+}
+
 double
 SizeSweepPoint::deImprovementPct()
 const

@@ -38,6 +38,25 @@ inline constexpr std::size_t kMaxSweepAxisSizes = 64;
 Status validateSweepAxis(const std::vector<std::uint64_t> &sizes,
                          std::uint32_t line_bytes);
 
+/** Largest sticky-counter saturation (the counter is a uint8_t). */
+inline constexpr std::uint64_t kMaxStickyMax = 255;
+
+/** CorruptInput unless @p sticky_max is in 1..kMaxStickyMax: at 0
+ * the Figure 1 machine has no sticky state to decay. */
+Status validateStickyMax(std::uint64_t sticky_max);
+
+/**
+ * The dynamic-exclusion configuration of a sweep leg at @p line_bytes:
+ * the last-line buffer on iff the line is wider than one 4-byte
+ * instruction word (Section 6, scheme 2), and the sticky counter
+ * saturating at @p sticky_max. The CLI's triad and sweep, the daemon's
+ * SWEEP, campaigns and the line-size figure all derive their legs
+ * here, so the same leg is bit-identical on every path. CorruptInput
+ * when validateStickyMax rejects @p sticky_max.
+ */
+Result<DynamicExclusionConfig> sweepLegConfig(std::uint32_t line_bytes,
+                                              std::uint64_t sticky_max);
+
 /** The paper's line-size axis (4B to 64B). */
 const std::vector<std::uint32_t> &paperLineSizes();
 

@@ -7,6 +7,7 @@
 
 #include "tracegen/spec.h"
 #include "util/logging.h"
+#include "util/string_utils.h"
 
 namespace dynex
 {
@@ -69,10 +70,12 @@ Count
 Workloads::defaultRefs()
 {
     if (const char *env = std::getenv("DYNEX_REFS")) {
-        const auto value = std::strtoull(env, nullptr, 10);
-        if (value > 0)
-            return value;
-        DYNEX_WARN("ignoring invalid DYNEX_REFS='", env, "'");
+        const Result<std::uint64_t> value =
+            parseUint(env, 1, ~std::uint64_t{0});
+        if (value.ok())
+            return value.value();
+        DYNEX_WARN("ignoring invalid DYNEX_REFS: ",
+                   value.status().message());
     }
     return kBuiltinDefaultRefs;
 }

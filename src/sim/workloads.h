@@ -22,6 +22,10 @@
 namespace dynex
 {
 
+/** Largest synthetic reference budget a user may ask for (--refs and a
+ * campaign's `refs`): 16 GB of trace. */
+inline constexpr Count kMaxRefs = 1'000'000'000;
+
 /**
  * Trace provider with a tiny LRU memo (traces are tens of MB; only a
  * couple are kept alive).

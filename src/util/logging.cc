@@ -28,11 +28,5 @@ warnImpl(const std::string &message)
     std::fprintf(stderr, "warn: %s\n", message.c_str());
 }
 
-void
-informImpl(const std::string &message)
-{
-    std::fprintf(stderr, "info: %s\n", message.c_str());
-}
-
 } // namespace detail
 } // namespace dynex

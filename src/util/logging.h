@@ -1,7 +1,7 @@
 /**
  * @file
  * Error / status reporting in the gem5 idiom: panic() for internal bugs,
- * fatal() for user errors, warn()/inform() for status messages.
+ * fatal() for user errors, warn() for status messages.
  */
 
 #ifndef DYNEX_UTIL_LOGGING_H
@@ -31,7 +31,6 @@ concat(Args &&...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &message);
 void warnImpl(const std::string &message);
-void informImpl(const std::string &message);
 
 } // namespace detail
 
@@ -54,10 +53,6 @@ void informImpl(const std::string &message);
 /** Warn about a suspicious but survivable condition. */
 #define DYNEX_WARN(...) \
     ::dynex::detail::warnImpl(::dynex::detail::concat(__VA_ARGS__))
-
-/** Emit a normal informational status message. */
-#define DYNEX_INFORM(...) \
-    ::dynex::detail::informImpl(::dynex::detail::concat(__VA_ARGS__))
 
 /** Panic unless @p cond holds. */
 #define DYNEX_ASSERT(cond, ...) \

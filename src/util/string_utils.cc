@@ -65,6 +65,28 @@ parseSize(const std::string &text)
     return value * scale;
 }
 
+Result<std::uint64_t>
+parseUint(const std::string &text, std::uint64_t min, std::uint64_t max)
+{
+    std::uint64_t value = 0;
+    bool valid = !text.empty();
+    for (const char c : text) {
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (c < '0' || c > '9' ||
+            value > (~std::uint64_t{0} - digit) / 10) {
+            valid = false;
+            break;
+        }
+        value = value * 10 + digit;
+    }
+    if (!valid || value < min || value > max)
+        return Status::corruptInput("'" + text +
+                                    "' is not an integer in " +
+                                    std::to_string(min) + ".." +
+                                    std::to_string(max));
+    return value;
+}
+
 std::vector<std::string>
 split(const std::string &text, char delimiter)
 {

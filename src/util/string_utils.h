@@ -1,16 +1,20 @@
 /**
  * @file
- * String helpers: byte-size formatting ("32KB") and parsing, used by
- * experiment configs and reports.
+ * String helpers: byte-size formatting ("32KB") and parsing, the
+ * checked integer parse behind every numeric command-line flag, and
+ * small text utilities.
  */
 
 #ifndef DYNEX_UTIL_STRING_UTILS_H
 #define DYNEX_UTIL_STRING_UTILS_H
 
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "util/status.h"
 
 namespace dynex
 {
@@ -26,6 +30,38 @@ std::string formatSize(std::uint64_t bytes);
  * @return std::nullopt on malformed input.
  */
 std::optional<std::uint64_t> parseSize(const std::string &text);
+
+/**
+ * Parse @p text as a whole unsigned decimal in [@p min, @p max]:
+ * digits only, with no sign, space, suffix or overflow.
+ * @return the value, or CorruptInput naming the accepted range.
+ */
+Result<std::uint64_t> parseUint(const std::string &text,
+                                std::uint64_t min, std::uint64_t max);
+
+/**
+ * parseUint for the value @p text of numeric flag @p flag, stored in
+ * @p out (whose type holds @p max). On failure prints "<tool>: bad
+ * <flag>: <reason>" to stderr and returns false; the tools then exit
+ * 2. Every numeric flag of dynex, dynex_serve and dynex_loadgen is
+ * parsed here, so a typo or an out-of-range value never becomes a
+ * silent 0 or a narrowing wrap.
+ */
+template <typename T>
+bool
+parseFlag(const char *tool, const std::string &flag,
+          const std::string &text, std::uint64_t min, std::uint64_t max,
+          T &out)
+{
+    const Result<std::uint64_t> value = parseUint(text, min, max);
+    if (!value.ok()) {
+        std::fprintf(stderr, "%s: bad %s: %s\n", tool, flag.c_str(),
+                     value.status().message().c_str());
+        return false;
+    }
+    out = static_cast<T>(value.value());
+    return true;
+}
 
 /** Split @p text on @p delimiter (no empty trailing element). */
 std::vector<std::string> split(const std::string &text, char delimiter);

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "util/logging.h"
+#include "util/string_utils.h"
 
 namespace dynex
 {
@@ -47,10 +48,12 @@ autoWorkers()
     // and a bad value should warn once, not on every pool query.
     static const unsigned workers = [] {
         if (const char *env = std::getenv("DYNEX_THREADS")) {
-            const unsigned long value = std::strtoul(env, nullptr, 10);
-            if (value >= 1)
-                return static_cast<unsigned>(value);
-            DYNEX_WARN("ignoring invalid DYNEX_THREADS='", env, "'");
+            const Result<std::uint64_t> value =
+                parseUint(env, 1, kMaxWorkers);
+            if (value.ok())
+                return static_cast<unsigned>(value.value());
+            DYNEX_WARN("ignoring invalid DYNEX_THREADS: ",
+                       value.status().message());
         }
         const unsigned hw = std::thread::hardware_concurrency();
         return hw >= 1 ? hw : 1;

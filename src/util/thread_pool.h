@@ -35,6 +35,11 @@
 namespace dynex
 {
 
+/** Most worker threads any count may ask for: --threads, the
+ * daemon's --workers, the load generator's --clients and
+ * DYNEX_THREADS are held to it when parsed. */
+inline constexpr unsigned kMaxWorkers = 256;
+
 /** One captured exception of an error-aggregating parallel loop. */
 struct IndexedError
 {
@@ -92,7 +97,7 @@ class ThreadPool
     /**
      * The worker count the process is configured for: the last
      * setConfiguredWorkers() value if set, else DYNEX_THREADS if set
-     * and positive, else hardware_concurrency() (minimum 1).
+     * and in 1..kMaxWorkers, else hardware_concurrency() (minimum 1).
      */
     static unsigned configuredWorkers();
 

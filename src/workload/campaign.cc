@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "sim/sweep.h"
+#include "sim/workloads.h"
 #include "util/string_utils.h"
 
 namespace dynex
@@ -431,7 +432,7 @@ Parser::parseStatement(CampaignSpec &spec)
         Result<std::uint64_t> refs = expectNumber("reference count");
         if (!refs.ok())
             return refs.status();
-        if (refs.value() > 1'000'000'000ull)
+        if (refs.value() > kMaxRefs)
             return Status::resourceLimit(
                 "line " + std::to_string(line) +
                 ": refs budget over 1e9");
@@ -442,8 +443,8 @@ Parser::parseStatement(CampaignSpec &spec)
         Result<std::uint64_t> sticky = expectNumber("sticky count");
         if (!sticky.ok())
             return sticky.status();
-        if (sticky.value() == 0 || sticky.value() > 255)
-            return lineError(line, "sticky must be 1..255");
+        if (Status valid = validateStickyMax(sticky.value()); !valid.ok())
+            return lineError(line, valid.message());
         spec.stickyMax = static_cast<std::uint8_t>(sticky.value());
         return expectPunct(';');
     }

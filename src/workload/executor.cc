@@ -1,6 +1,5 @@
 #include "workload/executor.h"
 
-#include <cstring>
 #include <utility>
 
 #include "obs/run_report.h"
@@ -8,8 +7,7 @@
 #include "sim/sweep.h"
 #include "sim/workloads.h"
 #include "tracegen/spec.h"
-#include "trace/mmap_io.h"
-#include "trace/text_io.h"
+#include "trace/trace_path.h"
 #include "util/string_utils.h"
 #include "workload/import.h"
 
@@ -20,26 +18,6 @@ namespace workload
 
 namespace
 {
-
-bool
-hasSuffix(const std::string &text, const char *suffix)
-{
-    const std::size_t n = std::strlen(suffix);
-    return text.size() >= n &&
-           iequals(text.substr(text.size() - n), suffix);
-}
-
-/** The sweep configuration a (campaign, line) leg runs under — the
- * same derivation the CLI and server use, so all three execution
- * paths produce bit-identical legs. */
-DynamicExclusionConfig
-legConfig(const CampaignSpec &spec, std::uint32_t line_bytes)
-{
-    DynamicExclusionConfig config;
-    config.stickyMax = spec.stickyMax;
-    config.useLastLine = line_bytes > 4;
-    return config;
-}
 
 void
 appendOutcome(CampaignReport &report, const std::string &label,
@@ -82,9 +60,13 @@ runLocal(const CampaignSpec &spec, CampaignReport &report)
         if (!trace.ok())
             return trace.status();
         for (const std::uint32_t line : spec.lines) {
+            const Result<DynamicExclusionConfig> config =
+                sweepLegConfig(line, spec.stickyMax);
+            if (!config.ok())
+                return config.status();
             const SizeSweepOutcome outcome =
                 sweepSizesChecked(trace.value(), spec.sizes, line,
-                                  legConfig(spec, line), spec.engine);
+                                  config.value(), spec.engine);
             appendOutcome(report, source.label, line, spec.sizes,
                           outcome);
         }
@@ -186,9 +168,7 @@ resolveSource(const TraceSource &source, Count refs)
         return trace;
       }
       case SourceKind::File: {
-        Result<Trace> trace = hasSuffix(source.spec, ".din")
-                                  ? readDinTraceFile(source.spec)
-                                  : readTraceFileFast(source.spec);
+        Result<Trace> trace = readTracePath(source.spec);
         if (!trace.ok())
             return trace.status();
         trace.value().setName(source.label);

@@ -1,9 +1,9 @@
 #include "workload/report.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "obs/json.h"
 #include "util/csv.h"
 
 namespace dynex
@@ -14,59 +14,8 @@ namespace workload
 namespace
 {
 
-/** JSON string escaping (labels and status text). */
-std::string
-jsonString(const std::string &text)
-{
-    std::string out = "\"";
-    for (const char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
-
-/** Shortest round-trippable decimal: the same double always renders
- * the same bytes, the basis of the byte-identity guarantee. */
-std::string
-jsonDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-std::string
-jsonU64(std::uint64_t value)
-{
-    return std::to_string(value);
-}
+using obs::jsonDouble;
+using obs::jsonString;
 
 bool
 wantsModel(const std::vector<std::string> &models, const char *model)
@@ -99,8 +48,8 @@ CampaignReport::toJson() const
         const CampaignLeg &leg = legs[i];
         out += i ? ",\n" : "\n";
         out += "{\"trace\":" + jsonString(leg.trace) +
-               ",\"lineBytes\":" + jsonU64(leg.lineBytes) +
-               ",\"sizeBytes\":" + jsonU64(leg.sizeBytes) +
+               ",\"lineBytes\":" + std::to_string(leg.lineBytes) +
+               ",\"sizeBytes\":" + std::to_string(leg.sizeBytes) +
                ",\"ok\":" + (leg.ok ? "true" : "false");
         if (dm)
             out += ",\"dmMissPct\":" + jsonDouble(leg.dmMissPct);
@@ -117,8 +66,8 @@ CampaignReport::toJson() const
         const CampaignFailure &failure = failures[i];
         out += i ? ",\n" : "\n";
         out += "{\"trace\":" + jsonString(failure.trace) +
-               ",\"lineBytes\":" + jsonU64(failure.lineBytes) +
-               ",\"sizeBytes\":" + jsonU64(failure.sizeBytes) +
+               ",\"lineBytes\":" + std::to_string(failure.lineBytes) +
+               ",\"sizeBytes\":" + std::to_string(failure.sizeBytes) +
                ",\"model\":" + jsonString(failure.model) +
                ",\"status\":" + jsonString(failure.status) + '}';
     }

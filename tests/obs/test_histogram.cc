@@ -1,7 +1,9 @@
 /**
  * @file
- * Tests of the log-bucketed latency histograms: bucket math at the
- * boundaries, percentile semantics on merged snapshots, and the
+ * Tests of the log2 histogram and the latency histograms built on it:
+ * bucket math at the boundaries, quantile semantics on merged
+ * snapshots, the reuse-distance rendering `dynex analyze` prints, and
+ * the
  * determinism contract — recording one fixed multiset of samples from
  * 1, 2, or 8 threads must export bit-identical `lat-*` rows, because
  * shard merging is an integer sum and percentiles are a pure function
@@ -39,32 +41,32 @@ TEST(HistogramBuckets, BoundariesFollowFloorLog2)
 
 TEST(HistogramBuckets, UpperBoundsAreInclusiveAndSaturate)
 {
-    EXPECT_EQ(histogramBucketUpperNs(0), 1u);
-    EXPECT_EQ(histogramBucketUpperNs(1), 3u);
-    EXPECT_EQ(histogramBucketUpperNs(9), 1023u);
-    EXPECT_EQ(histogramBucketUpperNs(63), ~0ull);
+    EXPECT_EQ(histogramBucketUpper(0), 1u);
+    EXPECT_EQ(histogramBucketUpper(1), 3u);
+    EXPECT_EQ(histogramBucketUpper(9), 1023u);
+    EXPECT_EQ(histogramBucketUpper(63), ~0ull);
     // Every value lands in a bucket whose upper bound covers it.
     for (std::uint64_t ns : {0ull, 1ull, 2ull, 5ull, 1000ull, 1ull << 40})
-        EXPECT_GE(histogramBucketUpperNs(histogramBucket(ns)), ns);
+        EXPECT_GE(histogramBucketUpper(histogramBucket(ns)), ns);
 }
 
 TEST(HistogramSnapshot, PercentilesClampToTheObservedMax)
 {
     HistogramSet set;
     set.record(Latency::Replay, 700);
-    const HistogramSnapshot snap = set.snapshot(Latency::Replay);
+    const Log2Histogram snap = set.snapshot(Latency::Replay);
     EXPECT_EQ(snap.count, 1u);
-    EXPECT_EQ(snap.sumNs, 700u);
+    EXPECT_EQ(snap.sum, 700u);
     // One sample: every percentile is the sample itself, not the
     // bucket ceiling (1023).
-    EXPECT_EQ(snap.percentileNs(0.5), 700u);
-    EXPECT_EQ(snap.percentileNs(0.99), 700u);
+    EXPECT_EQ(snap.percentile(0.5), 700u);
+    EXPECT_EQ(snap.percentile(0.99), 700u);
 }
 
 TEST(HistogramSnapshot, EmptySeriesReportsZeroAndEmitsNoRows)
 {
     HistogramSet set;
-    EXPECT_EQ(set.snapshot(Latency::E2ePing).percentileNs(0.5), 0u);
+    EXPECT_EQ(set.snapshot(Latency::E2ePing).percentile(0.5), 0u);
     Rows rows;
     set.appendStatsRows(rows);
     EXPECT_TRUE(rows.empty());
@@ -78,13 +80,13 @@ TEST(HistogramSnapshot, PercentileWalksTheCumulativeDistribution)
         set.record(Latency::QueueWait, 3);
     for (int i = 0; i < 10; ++i)
         set.record(Latency::QueueWait, 1500);
-    const HistogramSnapshot snap = set.snapshot(Latency::QueueWait);
+    const Log2Histogram snap = set.snapshot(Latency::QueueWait);
     EXPECT_EQ(snap.count, 100u);
-    EXPECT_EQ(snap.percentileNs(0.5), 3u);
-    EXPECT_EQ(snap.percentileNs(0.90), 3u);
-    // The slow tail: bucket upper bound 2047, clamped to maxNs 1500.
-    EXPECT_EQ(snap.percentileNs(0.95), 1500u);
-    EXPECT_EQ(snap.percentileNs(0.99), 1500u);
+    EXPECT_EQ(snap.percentile(0.5), 3u);
+    EXPECT_EQ(snap.percentile(0.90), 3u);
+    // The slow tail: bucket upper bound 2047, clamped to max 1500.
+    EXPECT_EQ(snap.percentile(0.95), 1500u);
+    EXPECT_EQ(snap.percentile(0.99), 1500u);
 }
 
 TEST(HistogramSnapshot, MergeIsAnIntegerSum)
@@ -93,11 +95,75 @@ TEST(HistogramSnapshot, MergeIsAnIntegerSum)
     a.record(Latency::StoreLoad, 10);
     a.record(Latency::StoreLoad, 2000);
     b.record(Latency::StoreLoad, 10);
-    HistogramSnapshot merged = a.snapshot(Latency::StoreLoad);
+    Log2Histogram merged = a.snapshot(Latency::StoreLoad);
     merged.merge(b.snapshot(Latency::StoreLoad));
     EXPECT_EQ(merged.count, 3u);
-    EXPECT_EQ(merged.sumNs, 2020u);
-    EXPECT_EQ(merged.maxNs, 2000u);
+    EXPECT_EQ(merged.sum, 2020u);
+    EXPECT_EQ(merged.max, 2000u);
+}
+
+TEST(Log2Histogram, BucketsByPowerOfTwo)
+{
+    Log2Histogram h;
+    for (const std::uint64_t value : {0, 1, 2, 3, 4, 1023, 1024})
+        h.add(value);
+    EXPECT_EQ(h.buckets[0], 2u) << "0 and 1 share bucket 0";
+    EXPECT_EQ(h.buckets[1], 2u) << "2 and 3";
+    EXPECT_EQ(h.buckets[2], 1u) << "4..7";
+    EXPECT_EQ(h.buckets[9], 1u) << "512..1023";
+    EXPECT_EQ(h.buckets[10], 1u) << "1024..2047";
+    EXPECT_EQ(h.count, 7u);
+}
+
+TEST(Log2Histogram, WeightsAccumulate)
+{
+    Log2Histogram h;
+    h.add(16, 5);
+    h.add(17, 3);
+    EXPECT_EQ(h.buckets[4], 8u);
+    EXPECT_EQ(h.count, 8u);
+    EXPECT_EQ(h.sum, 16u * 5 + 17u * 3);
+    EXPECT_EQ(h.max, 17u);
+}
+
+TEST(Log2Histogram, OutOfRangeBucketIsZero)
+{
+    Log2Histogram h;
+    h.add(1);
+    EXPECT_EQ(h.buckets[50], 0u);
+    EXPECT_EQ(h.buckets[kHistogramBuckets - 1], 0u);
+}
+
+TEST(Log2Histogram, QuantileUpperBound)
+{
+    // `dynex analyze` prints the bucket ceiling, not the clamped
+    // percentile.
+    Log2Histogram h;
+    h.add(1, 90);
+    h.add(1000, 10);
+    EXPECT_EQ(histogramBucketUpper(h.quantileBucket(0.5)), 1u);
+    EXPECT_EQ(histogramBucketUpper(h.quantileBucket(0.99)), 1023u);
+    EXPECT_EQ(h.percentile(0.99), 1000u);
+}
+
+TEST(Log2Histogram, OneSampleQuantileIsItsBucket)
+{
+    // The rank is clamped to at least 1: a target truncated to 0
+    // would stop at bucket 0 and report a median <= 1 for any value.
+    Log2Histogram h;
+    h.add(1000);
+    EXPECT_EQ(h.quantileBucket(0.5), 9u);
+    EXPECT_EQ(h.quantileBucket(0.0), 9u);
+    EXPECT_EQ(histogramBucketUpper(h.quantileBucket(0.5)), 1023u);
+    EXPECT_EQ(Log2Histogram{}.quantileBucket(0.5), 0u);
+}
+
+TEST(Log2Histogram, ToStringListsNonEmptyBuckets)
+{
+    Log2Histogram h;
+    h.add(0);
+    h.add(5);
+    EXPECT_EQ(h.toString(), "[0, 1]: 1\n[4, 7]: 1\n");
 }
 
 /** The fixed sample multiset used for the determinism contract:

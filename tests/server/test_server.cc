@@ -535,6 +535,52 @@ TEST(ServerEndToEnd, OneByteLinesAreCorruptInput)
     EXPECT_TRUE(client.ping().ok());
 }
 
+TEST(ServerEndToEnd, ZeroStickyIsCorruptInput)
+{
+    // The wire carries stickyMax as a u8; 0 used to reach the replay
+    // engines' stickyMax >= 1 assertion and abort the daemon.
+    Server server(benchServer("nasa7"));
+    ASSERT_TRUE(server.start().ok());
+    Client client = mustConnect(server);
+
+    SweepRequest sweep;
+    sweep.trace = "nasa7";
+    sweep.stickyMax = 0;
+    EXPECT_EQ(client.sweep(sweep).status().code(),
+              StatusCode::CorruptInput);
+    sweep.engine = replayEngineWireCode(ReplayEngine::PerLeg);
+    EXPECT_EQ(client.sweep(sweep).status().code(),
+              StatusCode::CorruptInput);
+
+    ReplayRequest replay;
+    replay.trace = "nasa7";
+    replay.model = "dynex";
+    replay.stickyMax = 0;
+    EXPECT_EQ(client.replay(replay).status().code(),
+              StatusCode::CorruptInput);
+    EXPECT_TRUE(client.ping().ok());
+    EXPECT_EQ(server.counters().errors, 3u);
+}
+
+TEST(ServerEndToEnd, DefaultAxisLinesWiderThanOneKilobyteAreCorruptInput)
+{
+    // The default axis starts at 1KB. Checking only its largest size
+    // let a 2KB line through to a 1KB leg, whose geometry assertion
+    // aborted the daemon.
+    Server server(benchServer("nasa7"));
+    ASSERT_TRUE(server.start().ok());
+    Client client = mustConnect(server);
+
+    SweepRequest sweep;
+    sweep.trace = "nasa7";
+    sweep.lineBytes = 2048;
+    const auto result = client.sweep(sweep);
+    EXPECT_EQ(result.status().code(), StatusCode::CorruptInput);
+    EXPECT_NE(result.status().message().find("1024"), std::string::npos)
+        << result.status().toString();
+    EXPECT_TRUE(client.ping().ok());
+}
+
 TEST(ServerEndToEnd, ResponseTypedFrameIsRejectedAsARequest)
 {
     Server server(benchServer("fpppp"));

@@ -51,8 +51,8 @@ TEST(ReuseDistance, ShortLoopsGiveShortDistances)
     // (ab)^n: between two a's exactly one other block (b) appears.
     const Trace trace = Trace::fromPattern(repeat("ab", 20), 0x1000, 64);
     const auto histogram = reuseDistanceHistogram(trace, 4);
-    EXPECT_EQ(histogram.total(), 38u) << "each revisit records once";
-    EXPECT_EQ(histogram.bucket(0), 38u) << "distance 1 for everything";
+    EXPECT_EQ(histogram.count, 38u) << "each revisit records once";
+    EXPECT_EQ(histogram.buckets[0], 38u) << "distance 1 for everything";
 }
 
 TEST(ReuseDistance, PhasePatternsGiveLongDistances)
@@ -64,14 +64,14 @@ TEST(ReuseDistance, PhasePatternsGiveLongDistances)
         trace.append(ifetch(0x2000 + 64 * static_cast<Addr>(i)));
     trace.append(ifetch(0x1000));
     const auto histogram = reuseDistanceHistogram(trace, 4);
-    EXPECT_EQ(histogram.bucket(5), 1u) << "distance 32 lands in [32,63]";
+    EXPECT_EQ(histogram.buckets[5], 1u) << "distance 32 lands in [32,63]";
 }
 
 TEST(ReuseDistance, ConsecutiveSameBlockReferencesCollapse)
 {
     const Trace trace = Trace::fromPattern("aaaa", 0x1000, 64);
     const auto histogram = reuseDistanceHistogram(trace, 4);
-    EXPECT_EQ(histogram.total(), 0u)
+    EXPECT_EQ(histogram.count, 0u)
         << "runs are one line reference; no revisit recorded";
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Integration tests of the dynex command-line tool, run as a
- * subprocess (the binary path is injected by CMake).
+ * subprocess (the binary paths are injected by CMake); the flag-check
+ * table also covers dynex_serve and dynex_loadgen.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +14,9 @@
 #include <sstream>
 #include <string>
 
-#ifndef DYNEX_CLI_PATH
-#error "DYNEX_CLI_PATH must be defined by the build system"
+#if !defined(DYNEX_CLI_PATH) || !defined(DYNEX_SERVE_PATH) || \
+    !defined(DYNEX_LOADGEN_PATH)
+#error "the tool paths must be defined by the build system"
 #endif
 
 namespace
@@ -26,11 +28,12 @@ struct CommandResult
     std::string output;
 };
 
+/** Run @p command_line through the shell, capturing stdout and
+ * stderr. */
 CommandResult
-runCli(const std::string &args)
+runCommand(const std::string &command_line)
 {
-    const std::string command =
-        std::string(DYNEX_CLI_PATH) + " " + args + " 2>&1";
+    const std::string command = command_line + " 2>&1";
     FILE *pipe = popen(command.c_str(), "r");
     EXPECT_NE(pipe, nullptr);
     std::string output;
@@ -39,6 +42,12 @@ runCli(const std::string &args)
         output += buffer.data();
     const int status = pclose(pipe);
     return {WEXITSTATUS(status), output};
+}
+
+CommandResult
+runCli(const std::string &args)
+{
+    return runCommand(std::string(DYNEX_CLI_PATH) + " " + args);
 }
 
 TEST(CliTool, ListShowsTheSuite)
@@ -198,6 +207,76 @@ TEST(CliTool, ThreadsFlagRejectsZero)
     EXPECT_NE(result.output.find("--threads"), std::string::npos);
 }
 
+TEST(CliTool, NumericFlagsAreCheckedAtParseTime)
+{
+    // Each row must exit 2 naming its flag. Every command line also
+    // fails a later check (a 3-byte line, a missing --port, an unknown
+    // benchmark or mode), so a build that skipped the flag check would
+    // exit on that instead of starting a pool, a listener, client
+    // threads or a retry loop.
+    struct Row
+    {
+        const char *binary;
+        const char *args;
+        const char *flag;
+    };
+    const Row rows[] = {
+        {DYNEX_CLI_PATH, "sim li --cache dynex --sticky 0 --line 3",
+         "--sticky"},
+        {DYNEX_CLI_PATH, "sim li --cache dynex --sticky 256 --line 3",
+         "--sticky"},
+        {DYNEX_CLI_PATH, "sim li --cache dynex --sticky 257 --line 3",
+         "--sticky"},
+        {DYNEX_CLI_PATH, "sim li --refs abc --line 3", "--refs"},
+        {DYNEX_CLI_PATH, "sim li --refs 5k --line 3", "--refs"},
+        {DYNEX_CLI_PATH, "sim li --refs -1 --line 3", "--refs"},
+        {DYNEX_CLI_PATH, "sim li --refs 99999999999999999999 --line 3",
+         "--refs"},
+        {DYNEX_CLI_PATH, "sim li --victim 4294967296 --line 3",
+         "--victim"},
+        {DYNEX_CLI_PATH, "sweep li --threads 257 --line 3", "--threads"},
+        {DYNEX_CLI_PATH, "sweep li --threads 4294967297 --line 3",
+         "--threads"},
+        {DYNEX_CLI_PATH, "remote-ls --port 70000 --retries x",
+         "--port"},
+        {DYNEX_CLI_PATH, "remote-ls --retries 1001", "--retries"},
+        {DYNEX_CLI_PATH, "remote-ls --deadline-ms 4294967296",
+         "--deadline-ms"},
+        {DYNEX_CLI_PATH, "remote-stats --watch 0", "--watch"},
+        {DYNEX_SERVE_PATH, "--port 70000 --bench nosuch", "--port"},
+        {DYNEX_SERVE_PATH, "--port 1x --bench nosuch", "--port"},
+        {DYNEX_SERVE_PATH, "--workers 257 --bench nosuch", "--workers"},
+        {DYNEX_SERVE_PATH, "--workers 0 --bench nosuch", "--workers"},
+        {DYNEX_SERVE_PATH, "--queue abc --bench nosuch", "--queue"},
+        {DYNEX_SERVE_PATH, "--admission-budget-ms 18446744073709552 "
+                           "--bench nosuch",
+         "--admission-budget-ms"},
+        {DYNEX_LOADGEN_PATH, "--port 1 --clients 257 --mode bogus",
+         "--clients"},
+        {DYNEX_LOADGEN_PATH, "--port 1 --clients 0 --mode bogus",
+         "--clients"},
+        {DYNEX_LOADGEN_PATH, "--port 65536 --mode bogus", "--port"},
+        {DYNEX_LOADGEN_PATH, "--port 1 --duration-ms 1s --mode bogus",
+         "--duration-ms"},
+    };
+    for (const Row &row : rows) {
+        const auto result =
+            runCommand(std::string(row.binary) + " " + row.args);
+        EXPECT_EQ(result.exitCode, 2) << row.args << ": " << result.output;
+        EXPECT_NE(result.output.find(std::string("bad ") + row.flag),
+                  std::string::npos)
+            << row.args << ": " << result.output;
+    }
+
+    // Port 0 (an ephemeral port) stays valid for the daemon: the run
+    // gets as far as the benchmark check.
+    const auto ephemeral =
+        runCommand(std::string(DYNEX_SERVE_PATH) + " --port 0 --bench nosuch");
+    EXPECT_EQ(ephemeral.exitCode, 2);
+    EXPECT_NE(ephemeral.output.find("unknown benchmark"), std::string::npos)
+        << ephemeral.output;
+}
+
 TEST(CliTool, UsageDocumentsThreads)
 {
     const auto result = runCli("");
@@ -335,6 +414,27 @@ TEST(CliTool, AnalyzeReportsConflictStructure)
     EXPECT_EQ(result.exitCode, 0) << result.output;
     EXPECT_NE(result.output.find("two-way"), std::string::npos);
     EXPECT_NE(result.output.find("reuse-distance"), std::string::npos);
+}
+
+TEST(CliTool, AnalyzeMedianOfOneReuseIsItsBucketCeiling)
+{
+    // Block 0, eight other blocks, block 0 again: one reuse at
+    // distance 8, bucket [8, 15]. A one-sample median used to report
+    // <= 1 whatever the distance.
+    const std::string din = ::testing::TempDir() + "/cli_one_reuse.din";
+    {
+        std::ofstream out(din);
+        for (unsigned block : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 0u})
+            out << "2 " << std::hex << block * 16 << "\n";
+    }
+    const auto result = runCli("analyze " + din + " --size 1KB --line 16");
+    EXPECT_EQ(result.exitCode, 0) << result.output;
+    EXPECT_NE(result.output.find("[8, 15]: 1"), std::string::npos)
+        << result.output;
+    EXPECT_NE(result.output.find("median reuse distance <= 15 lines"),
+              std::string::npos)
+        << result.output;
+    std::remove(din.c_str());
 }
 
 TEST(CliTool, RejectsBadSize)

@@ -28,14 +28,12 @@ TEST(LoggingDeathTest, AssertFiresOnlyWhenFalse)
                  "assertion failed.*math failed 99");
 }
 
-TEST(Logging, WarnAndInformGoToStderr)
+TEST(Logging, WarnGoesToStderr)
 {
     ::testing::internal::CaptureStderr();
     DYNEX_WARN("watch out ", 7);
-    DYNEX_INFORM("status ", "ok");
     const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("warn: watch out 7"), std::string::npos);
-    EXPECT_NE(err.find("info: status ok"), std::string::npos);
 }
 
 TEST(Logging, ConcatHandlesMixedTypes)

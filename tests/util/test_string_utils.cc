@@ -50,6 +50,26 @@ TEST(ParseSize, RoundTripsFormatSize)
     }
 }
 
+TEST(ParseUint, AcceptsWholeDecimalsInRange)
+{
+    EXPECT_EQ(parseUint("0", 0, 10).value(), 0u);
+    EXPECT_EQ(parseUint("10", 0, 10).value(), 10u);
+    EXPECT_EQ(parseUint("007", 1, 255).value(), 7u);
+    EXPECT_EQ(parseUint("18446744073709551615", 0, ~0ull).value(), ~0ull);
+}
+
+TEST(ParseUint, RejectsGarbageRangeAndOverflow)
+{
+    for (const char *text : {"", "abc", "5k", "-1", "+1", " 1", "1 ",
+                             "0x10", "1.5", "18446744073709551616"})
+        EXPECT_FALSE(parseUint(text, 0, ~0ull).ok()) << text;
+    const Result<std::uint64_t> low = parseUint("0", 1, 255);
+    ASSERT_FALSE(low.ok());
+    EXPECT_EQ(low.status().code(), StatusCode::CorruptInput);
+    EXPECT_EQ(low.status().message(), "'0' is not an integer in 1..255");
+    EXPECT_FALSE(parseUint("256", 1, 255).ok());
+}
+
 TEST(Split, BasicSplitting)
 {
     EXPECT_EQ(split("a,b,c", ','),

@@ -56,9 +56,9 @@
 #include "sim/sweep.h"
 #include "sim/runner.h"
 #include "sim/workloads.h"
-#include "trace/mmap_io.h"
 #include "trace/text_io.h"
 #include "trace/trace_io.h"
+#include "trace/trace_path.h"
 #include "tracegen/spec.h"
 #include "util/string_utils.h"
 #include "util/thread_pool.h"
@@ -104,6 +104,12 @@ struct Options
     std::string convertTo;   // convert --to: output format override
     bool force = false;      // --force: overwrite existing outputs
 };
+
+// Upper bounds of the numeric flags without a natural one: a watch
+// period of a day, and a victim buffer far beyond the paper's few
+// entries.
+constexpr std::uint64_t kMaxWatchSec = 86400;
+constexpr std::uint64_t kMaxVictimEntries = 65536;
 
 /** Apply --threads to the simulation pool before any sweep runs. */
 void
@@ -269,28 +275,12 @@ looksLikeFile(const std::string &name)
            name.find('/') != std::string::npos;
 }
 
-bool
-isDinPath(const std::string &path)
-{
-    return path.size() >= 4 &&
-           iequals(path.substr(path.size() - 4), ".din");
-}
-
-/** A .dxt3 extension selects the compressed binary format. */
-bool
-isDxt3Path(const std::string &path)
-{
-    return path.size() >= 5 &&
-           iequals(path.substr(path.size() - 5), ".dxt3");
-}
-
 /** Load a trace file; on failure print the reason and set
  * @p exit_code (3 for I/O, 4 for corrupt/oversized data). */
 std::optional<Trace>
 loadTraceFile(const std::string &path, int &exit_code)
 {
-    Result<Trace> trace = isDinPath(path) ? readDinTraceFile(path)
-                                          : readTraceFileFast(path);
+    Result<Trace> trace = readTracePath(path);
     if (!trace.ok()) {
         std::fprintf(stderr, "dynex: cannot read %s: %s\n", path.c_str(),
                      trace.status().toString().c_str());
@@ -300,15 +290,28 @@ loadTraceFile(const std::string &path, int &exit_code)
     return std::move(trace).value();
 }
 
-/** @return the exit code of writing @p trace to @p path (0 ok). */
+/** Write @p trace to @p path in format @p to ("dxt1", "dxt2", "dxt3",
+ * "din", "text", "lackey"); empty @p to lets the extension decide.
+ * @return the exit code (0 ok). */
 int
-storeTraceFile(const Trace &trace, const std::string &path)
+writeTraceAs(const Trace &trace, const std::string &path,
+             const std::string &to = {})
 {
-    const Status status =
-        isDinPath(path) ? writeDinTraceFile(trace, path)
-        : isDxt3Path(path)
-            ? writeTraceFile(trace, path, TraceFormat::Dxt3)
-            : writeTraceFile(trace, path);
+    Status status;
+    if (to.empty())
+        status = writeTracePath(trace, path);
+    else if (iequals(to, "dxt1"))
+        status = writeTraceFile(trace, path, TraceFormat::Dxt1);
+    else if (iequals(to, "dxt2"))
+        status = writeTraceFile(trace, path, TraceFormat::Dxt2);
+    else if (iequals(to, "dxt3"))
+        status = writeTraceFile(trace, path, TraceFormat::Dxt3);
+    else if (iequals(to, "din"))
+        status = writeDinTraceFile(trace, path);
+    else if (iequals(to, "text"))
+        status = workload::writeTextTraceFile(trace, path);
+    else
+        status = workload::writeLackeyTraceFile(trace, path);
     if (!status.ok())
         std::fprintf(stderr, "dynex: cannot write %s: %s\n",
                      path.c_str(), status.toString().c_str());
@@ -348,6 +351,12 @@ parseOptions(int argc, char **argv, int first, Options &options)
             }
             return argv[++i];
         };
+        // Parse a numeric flag's value into @p out, held to [min, max].
+        auto number = [&](auto &out, std::uint64_t min, std::uint64_t max) {
+            const char *v = value();
+            return v && parseFlag("dynex", flag, v, min, max, out);
+        };
+        bool ok = true;
         if (flag == "--lastline") {
             options.lastLine = true;
         } else if (flag == "--force") {
@@ -395,16 +404,7 @@ parseOptions(int argc, char **argv, int first, Options &options)
         } else if (flag == "--prom") {
             options.prom = true;
         } else if (flag == "--watch") {
-            const char *v = value();
-            if (!v)
-                return false;
-            const auto parsed = std::strtoull(v, nullptr, 10);
-            if (parsed == 0) {
-                std::fprintf(stderr,
-                             "dynex: --watch needs a period >= 1\n");
-                return false;
-            }
-            options.watchSec = static_cast<unsigned>(parsed);
+            ok = number(options.watchSec, 1, kMaxWatchSec);
         } else if (flag == "--metrics-out" || flag == "--csv-out" ||
                    flag == "--trace-out") {
             const char *v = value();
@@ -456,7 +456,7 @@ parseOptions(int argc, char **argv, int first, Options &options)
             if (!v)
                 return false;
             const auto parsed = parseSize(v);
-            if (!parsed) {
+            if (!parsed || (flag == "--line" && *parsed > UINT32_MAX)) {
                 std::fprintf(stderr, "dynex: bad size '%s'\n", v);
                 return false;
             }
@@ -477,45 +477,22 @@ parseOptions(int argc, char **argv, int first, Options &options)
             if (!v)
                 return false;
             options.clientId = v;
-        } else if (flag == "--port" || flag == "--deadline-ms" ||
-                   flag == "--retries" || flag == "--backoff-ms") {
-            const char *v = value();
-            if (!v)
-                return false;
-            const auto parsed = std::strtoull(v, nullptr, 10);
-            if (flag == "--port") {
-                if (parsed == 0 || parsed > 65535) {
-                    std::fprintf(stderr, "dynex: bad --port '%s'\n", v);
-                    return false;
-                }
-                options.port = static_cast<std::uint16_t>(parsed);
-            } else if (flag == "--deadline-ms") {
-                options.deadlineMs = static_cast<std::uint32_t>(parsed);
-            } else if (flag == "--retries") {
-                options.retries = static_cast<unsigned>(parsed);
-            } else {
-                options.backoffMs = static_cast<std::uint32_t>(parsed);
-            }
-        } else if (flag == "--sticky" || flag == "--victim" ||
-                   flag == "--refs" || flag == "--threads") {
-            const char *v = value();
-            if (!v)
-                return false;
-            const auto parsed = std::strtoull(v, nullptr, 10);
-            if (flag == "--threads" && parsed == 0) {
-                std::fprintf(stderr,
-                             "dynex: --threads needs a count >= 1\n");
-                return false;
-            }
-            if (flag == "--sticky")
-                options.stickyMax = static_cast<std::uint8_t>(parsed);
-            else if (flag == "--victim")
-                options.victimEntries =
-                    static_cast<std::uint32_t>(parsed);
-            else if (flag == "--threads")
-                options.threads = static_cast<unsigned>(parsed);
-            else
-                options.refs = parsed;
+        } else if (flag == "--port") {
+            ok = number(options.port, 1, 65535);
+        } else if (flag == "--deadline-ms") {
+            ok = number(options.deadlineMs, 0, UINT32_MAX);
+        } else if (flag == "--backoff-ms") {
+            ok = number(options.backoffMs, 0, UINT32_MAX);
+        } else if (flag == "--retries") {
+            ok = number(options.retries, 0, server::kMaxRetries);
+        } else if (flag == "--sticky") {
+            ok = number(options.stickyMax, 1, kMaxStickyMax);
+        } else if (flag == "--victim") {
+            ok = number(options.victimEntries, 0, kMaxVictimEntries);
+        } else if (flag == "--refs") {
+            ok = number(options.refs, 1, kMaxRefs);
+        } else if (flag == "--threads") {
+            ok = number(options.threads, 1, kMaxWorkers);
         } else {
             // Show the full usage text so the correct spelling (and
             // the newer flags) are one error away, not a docs hunt.
@@ -524,6 +501,8 @@ parseOptions(int argc, char **argv, int first, Options &options)
             usage();
             return false;
         }
+        if (!ok)
+            return false;
     }
     return true;
 }
@@ -552,7 +531,7 @@ cmdGen(const std::string &benchmark, const std::string &out_path,
     const auto trace = resolveTrace(benchmark, options, rc);
     if (!trace)
         return rc;
-    rc = storeTraceFile(*trace, out_path);
+    rc = writeTraceAs(*trace, out_path);
     if (rc != kExitOk)
         return rc;
     std::printf("wrote %zu references to %s\n", trace->size(),
@@ -593,33 +572,6 @@ outputWritable(const std::string &path, const Options &options,
                  path.c_str());
     exit_code = kExitIo;
     return false;
-}
-
-/** Write @p trace to @p path in format @p to ("dxt1", "dxt2", "dxt3",
- * "din", "text", "lackey"); empty @p to lets the extension decide. */
-int
-writeTraceAs(const Trace &trace, const std::string &path,
-             const std::string &to)
-{
-    if (to.empty())
-        return storeTraceFile(trace, path);
-    Status status;
-    if (iequals(to, "dxt1"))
-        status = writeTraceFile(trace, path, TraceFormat::Dxt1);
-    else if (iequals(to, "dxt2"))
-        status = writeTraceFile(trace, path, TraceFormat::Dxt2);
-    else if (iequals(to, "dxt3"))
-        status = writeTraceFile(trace, path, TraceFormat::Dxt3);
-    else if (iequals(to, "din"))
-        status = writeDinTraceFile(trace, path);
-    else if (iequals(to, "text"))
-        status = workload::writeTextTraceFile(trace, path);
-    else
-        status = workload::writeLackeyTraceFile(trace, path);
-    if (!status.ok())
-        std::fprintf(stderr, "dynex: cannot write %s: %s\n",
-                     path.c_str(), status.toString().c_str());
-    return exitCodeFor(status);
 }
 
 int
@@ -866,11 +818,10 @@ cmdTriad(const std::string &target, const Options &options)
 
     const NextUseIndex index(*trace, options.lineBytes,
                              NextUseMode::RunStart);
-    DynamicExclusionConfig config;
-    config.stickyMax = options.stickyMax;
-    config.useLastLine = options.lineBytes > 4;
+    // parseOptions held --sticky to the range sweepLegConfig accepts.
     const TriadResult triad = runTriad(
-        *trace, index, options.sizeBytes, options.lineBytes, config);
+        *trace, index, options.sizeBytes, options.lineBytes,
+        sweepLegConfig(options.lineBytes, options.stickyMax).value());
 
     Table table;
     table.setHeader({"model", "miss %", "misses", "bypasses"});
@@ -1025,13 +976,11 @@ cmdSweep(const std::string &target, const Options &options)
         });
     }
 
-    DynamicExclusionConfig config;
-    config.stickyMax = options.stickyMax;
-    config.useLastLine = options.lineBytes > 4;
     SweepObservation observation(options, *trace);
-    const auto outcome = sweepSizesChecked(*trace, paperCacheSizes(),
-                                           options.lineBytes, config,
-                                           options.replay);
+    const auto outcome = sweepSizesChecked(
+        *trace, paperCacheSizes(), options.lineBytes,
+        sweepLegConfig(options.lineBytes, options.stickyMax).value(),
+        options.replay);
     const int obs_rc =
         observation.finish(outcome, trace->size());
 
@@ -1089,7 +1038,7 @@ cmdAnalyze(const std::string &target, const Options &options)
     const auto geometry =
         CacheGeometry::directMapped(options.sizeBytes, options.lineBytes);
     const ConflictCensus census = conflictCensus(*trace, geometry);
-    const Log2Histogram reuse =
+    const obs::Log2Histogram reuse =
         reuseDistanceHistogram(*trace, options.lineBytes);
 
     std::printf("trace:   %s (%zu refs)\n", trace->name().c_str(),
@@ -1103,8 +1052,8 @@ cmdAnalyze(const std::string &target, const Options &options)
                 reuse.toString().c_str());
     std::printf("median reuse distance <= %llu lines (cache holds "
                 "%llu)\n",
-                static_cast<unsigned long long>(
-                    reuse.quantileUpperBound(0.5)),
+                static_cast<unsigned long long>(obs::histogramBucketUpper(
+                    reuse.quantileBucket(0.5))),
                 static_cast<unsigned long long>(geometry.numLines()));
     return 0;
 }

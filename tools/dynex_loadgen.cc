@@ -49,6 +49,7 @@
 #include "util/rng.h"
 #include "util/string_utils.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/version.h"
 
 namespace
@@ -131,17 +132,17 @@ parseMix(const std::string &text, MixWeights &mix)
             return false;
         const std::string key = trim(entry.substr(0, eq));
         const std::string value = trim(entry.substr(eq + 1));
-        char *end = nullptr;
-        const unsigned long weight =
-            std::strtoul(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0')
+        // Three weights that each fit a third of the unsigned total.
+        const Result<std::uint64_t> weight =
+            parseUint(value, 0, UINT32_MAX / 3);
+        if (!weight.ok())
             return false;
         if (key == "ping")
-            parsed.ping = static_cast<unsigned>(weight);
+            parsed.ping = static_cast<unsigned>(weight.value());
         else if (key == "ls")
-            parsed.ls = static_cast<unsigned>(weight);
+            parsed.ls = static_cast<unsigned>(weight.value());
         else if (key == "sweep")
-            parsed.sweep = static_cast<unsigned>(weight);
+            parsed.sweep = static_cast<unsigned>(weight.value());
         else
             return false;
     }
@@ -359,11 +360,16 @@ main(int argc, char **argv)
         const char *v = value();
         if (!v)
             return 2;
+        // Parse a numeric flag's value into @p out, held to [min, max].
+        auto number = [&](auto &out, std::uint64_t min,
+                          std::uint64_t max) {
+            return parseFlag("dynex_loadgen", flag, v, min, max, out);
+        };
+        bool ok = true;
         if (flag == "--host")
             options.host = v;
         else if (flag == "--port")
-            options.port = static_cast<std::uint16_t>(
-                std::strtoul(v, nullptr, 10));
+            ok = number(options.port, 1, 65535);
         else if (flag == "--mode")
         {
             if (iequals(v, "open"))
@@ -388,12 +394,9 @@ main(int argc, char **argv)
             }
         }
         else if (flag == "--clients")
-            options.clients = std::max(
-                1u,
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10)));
+            ok = number(options.clients, 1, kMaxWorkers);
         else if (flag == "--duration-ms")
-            options.durationMs = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
+            ok = number(options.durationMs, 0, UINT32_MAX);
         else if (flag == "--mix")
         {
             if (!parseMix(v, options.mix))
@@ -408,8 +411,7 @@ main(int argc, char **argv)
         else if (flag == "--trace")
             options.trace = v;
         else if (flag == "--line")
-            options.lineBytes = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
+            ok = number(options.lineBytes, 0, UINT32_MAX);
         else if (flag == "--replay")
         {
             const std::optional<ReplayEngine> engine =
@@ -425,19 +427,15 @@ main(int argc, char **argv)
             options.engine = *engine;
         }
         else if (flag == "--seed")
-            options.seed = std::strtoull(v, nullptr, 10);
+            ok = number(options.seed, 0, ~std::uint64_t{0});
         else if (flag == "--retries")
-            options.retries =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            ok = number(options.retries, 0, server::kMaxRetries);
         else if (flag == "--backoff-ms")
-            options.backoffMs = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
+            ok = number(options.backoffMs, 0, UINT32_MAX);
         else if (flag == "--deadline-ms")
-            options.deadlineMs = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
+            ok = number(options.deadlineMs, 0, UINT32_MAX);
         else if (flag == "--latency-budget-ms")
-            options.latencyBudgetMs = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
+            ok = number(options.latencyBudgetMs, 0, UINT32_MAX);
         else if (flag == "--report")
             options.reportOut = v;
         else
@@ -447,6 +445,8 @@ main(int argc, char **argv)
                          flag.c_str());
             return usage();
         }
+        if (!ok)
+            return 2;
     }
     if (options.port == 0)
     {

@@ -43,6 +43,7 @@
 #include "obs/trace_events.h"
 #include "server/server.h"
 #include "sim/sweep.h"
+#include "sim/workloads.h"
 #include "tracegen/spec.h"
 #include "util/string_utils.h"
 #include "util/thread_pool.h"
@@ -127,6 +128,9 @@ void addSuite(server::ServerConfig &config)
 
 } // namespace
 
+// The accept backlog's cap, far past any worker count.
+constexpr std::uint64_t kMaxQueue = 65536;
+
 int main(int argc, char **argv)
 {
     server::ServerConfig config;
@@ -178,10 +182,17 @@ int main(int argc, char **argv)
         const char *v = value();
         if (!v)
             return 2;
+        // Parse a numeric flag's value into @p out, held to [min, max].
+        auto number = [&](auto &out, std::uint64_t min,
+                          std::uint64_t max) {
+            return parseFlag("dynex_serve", flag, v, min, max, out);
+        };
+        constexpr std::uint64_t kMaxMs = ~std::uint64_t{0} / 1'000'000;
+        bool ok = true;
         if (flag == "--port")
         {
-            config.port =
-                static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+            // 0 asks the kernel for an ephemeral port.
+            ok = number(config.port, 0, 65535);
         }
         else if (flag == "--port-file")
         {
@@ -189,12 +200,11 @@ int main(int argc, char **argv)
         }
         else if (flag == "--workers")
         {
-            config.workers =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            ok = number(config.workers, 1, kMaxWorkers);
         }
         else if (flag == "--queue")
         {
-            config.queueCapacity = std::strtoul(v, nullptr, 10);
+            ok = number(config.queueCapacity, 1, kMaxQueue);
         }
         else if (flag == "--store-budget")
         {
@@ -208,7 +218,7 @@ int main(int argc, char **argv)
         }
         else if (flag == "--refs")
         {
-            config.refs = std::strtoull(v, nullptr, 10);
+            ok = number(config.refs, 1, kMaxRefs);
         }
         else if (flag == "--bench")
         {
@@ -245,17 +255,17 @@ int main(int argc, char **argv)
         }
         else if (flag == "--admission-budget-ms")
         {
-            config.admission.costBudgetNs =
-                std::strtoull(v, nullptr, 10) * 1'000'000ull;
+            ok = number(config.admission.costBudgetNs, 0, kMaxMs);
+            config.admission.costBudgetNs *= 1'000'000;
         }
         else if (flag == "--client-burst-ms")
         {
-            config.admission.clientBurstNs =
-                std::strtoull(v, nullptr, 10) * 1'000'000ull;
+            ok = number(config.admission.clientBurstNs, 0, kMaxMs);
+            config.admission.clientBurstNs *= 1'000'000;
         }
         else if (flag == "--chaos-seed")
         {
-            config.chaosSeed = std::strtoull(v, nullptr, 10);
+            ok = number(config.chaosSeed, 0, ~std::uint64_t{0});
         }
         else if (flag == "--chaos-spec")
         {
@@ -280,20 +290,17 @@ int main(int argc, char **argv)
         }
         else if (flag == "--log-rate")
         {
-            logOptions.ratePerSec =
-                static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+            ok = number(logOptions.ratePerSec, 0, UINT32_MAX / 2);
             logOptions.burst = logOptions.ratePerSec * 2;
         }
         else if (flag == "--slow-request-ms")
         {
-            config.slowRequestMs =
-                static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+            ok = number(config.slowRequestMs, 0, UINT32_MAX);
             logJson = true;
         }
         else if (flag == "--test-delay-ms")
         {
-            config.testDelayBeforeExecuteMs =
-                static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+            ok = number(config.testDelayBeforeExecuteMs, 0, UINT32_MAX);
         }
         else
         {
@@ -301,6 +308,8 @@ int main(int argc, char **argv)
                          flag.c_str());
             return usage();
         }
+        if (!ok)
+            return 2;
     }
     if (!explicitTraces)
         addSuite(config);

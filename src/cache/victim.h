@@ -18,6 +18,12 @@
 namespace dynex
 {
 
+/** The largest victim buffer any input may ask for (the CLI's
+ * --victim, a REPLAY request's victimEntries): far beyond the paper's
+ * few entries, and small enough that the buffer's up-front reservation
+ * cannot exhaust memory. */
+inline constexpr std::uint32_t kMaxVictimEntries = 65536;
+
 /**
  * Direct-mapped cache plus an n-entry fully-associative victim buffer
  * with LRU replacement. A reference that misses the main cache but

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 
+#include "cache/victim.h"
 #include "sim/sweep.h"
 #include "util/crc32.h"
 
@@ -439,6 +440,12 @@ parseReplayRequest(std::string_view payload)
         return s;
     if (Status s = r.u32(request.victimEntries); !s.ok())
         return s;
+    if (request.victimEntries > kMaxVictimEntries)
+        return Status::corruptInput(
+            "DXP1: victim buffer of " +
+            std::to_string(request.victimEntries) +
+            " entries exceeds the cap of " +
+            std::to_string(kMaxVictimEntries));
     if (Status s = r.u32(request.deadlineMs); !s.ok())
         return s;
     if (Status s = r.done(); !s.ok())

@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace_events.h"
+#include "sim/parallel.h"
 #include "trace/packed_view.h"
 #include "util/logging.h"
 #include "util/string_utils.h"
@@ -120,48 +121,66 @@ computeSame(KernelIsa isa, const Addr *blocks, std::size_t n,
     computeSameScalar(blocks, n, prev, same);
 }
 
+/** The lowest and highest block number of a trace (both kAddrInvalid
+ * when it is empty). */
+struct BlockSpan
+{
+    Addr min = kAddrInvalid;
+    Addr max = kAddrInvalid;
+};
+
 /**
- * Per-leg hit-last bits. A cold-false leg over a compact block range
- * gets a flat bitmap (one load + shift per probe, no pointer chase)
- * on zero pages, so resident memory follows the blocks the leg
- * actually touches. A cold-true leg, or one whose blocks blow the cap,
- * uses the exact IdealHitLastStore instead, whose values are
- * identical by construction.
+ * Per-leg hit-last bits. A cold-false leg whose blocks span a compact
+ * range gets a flat bitmap over [min & ~63, max] (one load + shift per
+ * probe, no pointer chase) on zero pages, so resident memory follows
+ * the blocks the leg actually touches. A cold-true leg, or one whose
+ * span blows the cap, uses the exact IdealHitLastStore instead, whose
+ * values are identical by construction.
  */
 class HitLastLane
 {
   public:
-    /** Blocks at or above this never use the flat bitmap (8MB). */
+    /** Spans of this many blocks or more never use the flat bitmap
+     * (8MB). */
     static constexpr Addr kFlatCapBlocks = Addr{1} << 26;
 
     void
-    init(Addr max_block, bool initial_value)
+    init(BlockSpan span, bool initial_value)
     {
-        if (!initial_value && max_block != kAddrInvalid &&
-            max_block < kFlatCapBlocks)
-            words = ZeroPageArray<std::uint64_t>((max_block >> 6) + 1);
-        else
+        const Addr base = span.min & ~Addr{63};
+        if (!initial_value && span.max != kAddrInvalid &&
+            span.max - base < kFlatCapBlocks) {
+            words = ZeroPageArray<std::uint64_t>(
+                ((span.max - base) >> 6) + 1);
+            flatBase = base;
+        } else {
             store = std::make_unique<IdealHitLastStore>(initial_value);
+        }
     }
 
     bool isFlat() const { return words.size() != 0; }
     std::uint64_t *flatWords() { return words.begin(); }
+    /** The block of bit 0 of flatWords(), a multiple of 64. */
+    Addr base() const { return flatBase; }
     IdealHitLastStore *fallback() { return store.get(); }
 
   private:
     ZeroPageArray<std::uint64_t> words;
+    Addr flatBase = 0;
     std::unique_ptr<IdealHitLastStore> store;
 };
 
-/** Flat-bitmap hit-last access policy for the DE chunk loop. */
+/** Flat-bitmap hit-last access policy for the DE chunk loop. The base
+ * is a multiple of 64, so a block keeps its bit position in its word. */
 struct FlatHitLast
 {
     std::uint64_t *__restrict words;
+    Addr base;
 
     bool
     get(Addr block) const
     {
-        return (words[block >> 6] >> (block & 63)) & 1;
+        return (words[(block - base) >> 6] >> (block & 63)) & 1;
     }
 
     /** h[block] := @p keep ? unchanged : @p value, with no branch:
@@ -171,7 +190,7 @@ struct FlatHitLast
     void
     update(Addr block, bool keep, bool value)
     {
-        std::uint64_t &word = words[block >> 6];
+        std::uint64_t &word = words[(block - base) >> 6];
         const unsigned pos = static_cast<unsigned>(block & 63);
         const std::uint64_t bit = std::uint64_t{1} << pos;
         const std::uint64_t keep_mask =
@@ -223,7 +242,7 @@ struct KernelLeg
                   optBypass = 0, optLlHits = 0;
 
     KernelLeg(std::uint64_t size_bytes, std::uint32_t line_bytes,
-              Addr max_block, const DynamicExclusionConfig &config)
+              BlockSpan span, const DynamicExclusionConfig &config)
         : sizeBytes(size_bytes)
     {
         // Same construction-time validation as the model-based legs,
@@ -236,7 +255,7 @@ struct KernelLeg
         dmTags.assign(sets, kAddrInvalid);
         deTags.assign(sets, kAddrInvalid);
         deSticky.assign(sets, 0);
-        deHitLast.init(max_block, config.initialHitLast);
+        deHitLast.init(span, config.initialHitLast);
         optLanes.assign(sets, OptLane{});
     }
 };
@@ -355,8 +374,8 @@ replayChunk(KernelLeg &leg, const Addr *blocks, const Tick *next_use,
             std::uint8_t sticky_max)
 {
     if constexpr ((Models & kModelDe) == 0) {
-        chunk<Models, false>(leg, FlatHitLast{nullptr}, blocks, next_use,
-                             same, n, sticky_max);
+        chunk<Models, false>(leg, FlatHitLast{nullptr, 0}, blocks,
+                             next_use, same, n, sticky_max);
     } else {
         const auto run = [&]<bool LastLine>(auto hit_last) {
             chunk<Models, LastLine>(leg, hit_last, blocks, next_use,
@@ -369,7 +388,8 @@ replayChunk(KernelLeg &leg, const Addr *blocks, const Tick *next_use,
                 run.template operator()<false>(hit_last);
         };
         if (leg.deHitLast.isFlat())
-            pick(FlatHitLast{leg.deHitLast.flatWords()});
+            pick(FlatHitLast{leg.deHitLast.flatWords(),
+                             leg.deHitLast.base()});
         else
             pick(StoreHitLast{leg.deHitLast.fallback()});
     }
@@ -412,65 +432,58 @@ legResult(const KernelLeg &leg, std::uint64_t refs)
     return r;
 }
 
-/** Per-(size, model) wall time of one kernel pass; empty when no
- * metrics collector is installed. */
-struct KernelPassTiming
+/** Per-model wall time of one leg's pass; zero when the pass is not
+ * timed. */
+struct LegTiming
 {
-    std::vector<std::uint64_t> dmNs;
-    std::vector<std::uint64_t> deNs;
-    std::vector<std::uint64_t> optNs;
-
-    bool enabled() const { return !dmNs.empty(); }
+    std::uint64_t dmNs = 0;
+    std::uint64_t deNs = 0;
+    std::uint64_t optNs = 0;
 };
 
-/** The largest block number of the view (kAddrInvalid when empty),
- * used to size the flat hit-last bitmaps. */
-Addr
-maxBlockOf(const PackedTraceView &view)
+/** The lowest and highest block number of the view, used to place and
+ * size the flat hit-last bitmaps. */
+BlockSpan
+blockSpanOf(const PackedTraceView &view)
 {
     const Addr *blocks = view.blocks();
     const std::size_t n = view.size();
     if (n == 0)
-        return kAddrInvalid;
-    Addr max_block = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        max_block = blocks[i] > max_block ? blocks[i] : max_block;
-    return max_block;
+        return {};
+    BlockSpan span{blocks[0], blocks[0]};
+    for (std::size_t i = 1; i < n; ++i) {
+        span.min = blocks[i] < span.min ? blocks[i] : span.min;
+        span.max = blocks[i] > span.max ? blocks[i] : span.max;
+    }
+    return span;
 }
 
 /**
- * Stream @p view through every non-null leg once, in chunks.
+ * Stream @p view once, in chunks, through @p leg.
  *
- * Observability: under a metrics collector each model's chunk slice
- * is timed (per chunk x model, never per reference) and every chunk
- * adds one ReplayChunks count; under a tracer the pass and each chunk
- * get spans; under a progress bar each chunk reports its references
- * once (the chunk serves every leg, so progress advances in trace
- * units). With none installed the cost is three null checks per
- * chunk.
+ * Observability: when @p timed (a metrics collector is installed)
+ * each model's chunk slice is timed (per chunk x model, never per
+ * reference); under a tracer the pass and each chunk get spans named
+ * with the leg's size; under a progress bar each chunk reports its
+ * references (progress advances in references replayed per leg). With
+ * none installed the cost is two null checks per chunk.
  */
-KernelPassTiming
+LegTiming
 runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
-              const std::string &label,
-              std::vector<std::unique_ptr<KernelLeg>> &legs,
-              const DynamicExclusionConfig &config)
+              const std::string &label, KernelLeg &leg,
+              const DynamicExclusionConfig &config, bool timed)
 {
-    obs::MetricsCollector *const metrics = obs::activeMetrics();
     obs::Tracer *const tracer = obs::Tracer::active();
     obs::ProgressBar *const progress = obs::ProgressBar::active();
-
-    KernelPassTiming timing;
-    if (metrics) {
-        timing.dmNs.assign(legs.size(), 0);
-        timing.deNs.assign(legs.size(), 0);
-        timing.optNs.assign(legs.size(), 0);
-    }
+    const std::string size_tag =
+        tracer ? " @ " + std::to_string(leg.sizeBytes) : std::string();
 
     const KernelIsa isa = kernelDispatchIsa();
     const bool last_line = config.useLastLine;
     const std::uint8_t sticky_max = config.stickyMax;
     std::vector<std::uint8_t> same(detail::kKernelChunkRefs);
 
+    LegTiming timing;
     const std::uint64_t pass_start = tracer ? tracer->nowNs() : 0;
     const Addr *blocks = view.blocks();
     const Tick *next_use = index.values().data();
@@ -485,80 +498,71 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
         prev_block = blocks[end - 1];
 
         const std::uint64_t chunk_start = tracer ? tracer->nowNs() : 0;
-        for (std::size_t s = 0; s < legs.size(); ++s) {
-            KernelLeg *const leg = legs[s].get();
-            if (!leg)
-                continue;
-            const Addr *const chunk_blocks = blocks + base;
-            const Tick *const chunk_next = next_use + base;
-            if (!metrics) {
-                // No per-model timing wanted: one loop for all three.
-                replayChunk<kAllModels>(*leg, chunk_blocks, chunk_next,
-                                        same.data(), len, last_line,
-                                        sticky_max);
-                continue;
-            }
+        const Addr *const chunk_blocks = blocks + base;
+        const Tick *const chunk_next = next_use + base;
+        if (!timed) {
+            // No per-model timing wanted: one loop for all three.
+            replayChunk<kAllModels>(leg, chunk_blocks, chunk_next,
+                                    same.data(), len, last_line,
+                                    sticky_max);
+        } else {
             const std::uint64_t t0 = obs::monotonicNs();
-            replayChunk<kModelDm>(*leg, chunk_blocks, chunk_next,
+            replayChunk<kModelDm>(leg, chunk_blocks, chunk_next,
                                   same.data(), len, last_line,
                                   sticky_max);
             const std::uint64_t t1 = obs::monotonicNs();
-            replayChunk<kModelDe>(*leg, chunk_blocks, chunk_next,
+            replayChunk<kModelDe>(leg, chunk_blocks, chunk_next,
                                   same.data(), len, last_line,
                                   sticky_max);
             const std::uint64_t t2 = obs::monotonicNs();
-            replayChunk<kModelOpt>(*leg, chunk_blocks, chunk_next,
+            replayChunk<kModelOpt>(leg, chunk_blocks, chunk_next,
                                    same.data(), len, last_line,
                                    sticky_max);
-            timing.dmNs[s] += t1 - t0;
-            timing.deNs[s] += t2 - t1;
-            timing.optNs[s] += obs::monotonicNs() - t2;
+            timing.dmNs += t1 - t0;
+            timing.deNs += t2 - t1;
+            timing.optNs += obs::monotonicNs() - t2;
         }
-        if (metrics)
-            metrics->add(obs::Counter::ReplayChunks, 1);
         if (progress)
             progress->add(len);
         if (tracer)
-            tracer->complete("chunk@" + std::to_string(base), "kernel",
-                             chunk_start,
+            tracer->complete("chunk@" + std::to_string(base) + size_tag,
+                             "kernel", chunk_start,
                              tracer->nowNs() - chunk_start);
     }
     if (tracer)
-        tracer->complete("kernel-replay " + label, "replay",
+        tracer->complete("kernel-replay " + label + size_tag, "replay",
                          pass_start, tracer->nowNs() - pass_start);
     return timing;
 }
 
 /** Record every completed leg into its registered metrics slot (legs
- * that were never registered, or whose setup failed, are skipped). */
+ * that were never registered, or that failed, are skipped). */
 void
 fillLegMetrics(const std::string &label,
                const std::vector<std::uint64_t> &sizes,
-               std::size_t refs, const KernelPassTiming &timing,
-               const std::vector<std::unique_ptr<KernelLeg>> &legs,
-               const std::vector<TriadResult> &triads)
+               std::size_t refs, const std::vector<LegTiming> &timing,
+               const TriadPassOutcome &outcome)
 {
     obs::MetricsCollector *const metrics = obs::activeMetrics();
     if (!metrics)
         return;
     for (std::size_t s = 0; s < sizes.size(); ++s) {
-        if (!legs[s])
+        if (!outcome.ok[s])
             continue;
         obs::LegMetrics *const leg = metrics->leg(label, sizes[s]);
         if (!leg)
             continue;
+        const TriadResult &triad = outcome.triads[s];
         leg->refs = refs;
-        leg->dm = triads[s].dm;
-        leg->de = triads[s].de;
-        leg->opt = triads[s].opt;
-        leg->deEvents = triads[s].deEvents;
-        if (timing.enabled()) {
-            leg->dmReplayNs = timing.dmNs[s];
-            leg->deReplayNs = timing.deNs[s];
-            leg->optReplayNs = timing.optNs[s];
-            leg->replayNs = timing.dmNs[s] + timing.deNs[s] +
-                            timing.optNs[s];
-        }
+        leg->dm = triad.dm;
+        leg->de = triad.de;
+        leg->opt = triad.opt;
+        leg->deEvents = triad.deEvents;
+        leg->dmReplayNs = timing[s].dmNs;
+        leg->deReplayNs = timing[s].deNs;
+        leg->optReplayNs = timing[s].optNs;
+        leg->replayNs =
+            timing[s].dmNs + timing[s].deNs + timing[s].optNs;
         leg->done = true;
     }
 }
@@ -643,38 +647,48 @@ replayTriadKernelChecked(const Trace &trace, const NextUseIndex &index,
     DYNEX_ASSERT(de_config.stickyMax >= 1,
                  "sticky_max must be at least 1");
     const std::string &label = bench.empty() ? trace.name() : bench;
-    const Addr max_block = maxBlockOf(view);
+    const BlockSpan span = blockSpanOf(view);
 
     TriadPassOutcome outcome;
     outcome.triads.resize(sizes.size());
     outcome.ok.assign(sizes.size(), 0);
 
-    // A leg that fails setup (or an injected fault) leaves its slot
-    // null and is skipped by the pass; legs never interact, so the
-    // survivors replay exactly as they would in an unfaulted run.
-    std::vector<std::unique_ptr<KernelLeg>> legs(sizes.size());
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
+    obs::MetricsCollector *const metrics = obs::activeMetrics();
+    if (metrics)
+        // One count per trace chunk, however many legs replay it.
+        metrics->add(obs::Counter::ReplayChunks,
+                     (view.size() + detail::kKernelChunkRefs - 1) /
+                         detail::kKernelChunkRefs);
+
+    // Every leg is its own pool task. A leg owns its lanes, hit-last
+    // bits and tallies and reads only the shared view and index, so
+    // each triad is bit-identical at any worker count. A leg that
+    // fails setup (or an injected fault) records its status and skips
+    // the pass; legs never interact, so the survivors replay exactly
+    // as they would in an unfaulted run. A leg's lanes are freed when
+    // its task ends, so at most one leg per worker is resident.
+    std::vector<LegTiming> timing(sizes.size());
+    std::vector<Status> leg_status(sizes.size());
+    simParallelFor(sizes.size(), [&](std::size_t s) {
+        std::unique_ptr<KernelLeg> leg;
         try {
             if (const auto &hook = sweepFaultHook())
                 hook(label, sizes[s]);
-            legs[s] = std::make_unique<KernelLeg>(
-                sizes[s], line_bytes, max_block, de_config);
-            outcome.ok[s] = 1;
+            leg = std::make_unique<KernelLeg>(sizes[s], line_bytes, span,
+                                              de_config);
         } catch (...) {
-            legs[s].reset();
-            outcome.failures.push_back(
-                {s, statusFromException(std::current_exception())});
+            leg_status[s] = statusFromException(std::current_exception());
+            return;
         }
-    }
-
-    const KernelPassTiming timing =
-        runKernelPass(view, index, label, legs, de_config);
-
+        timing[s] = runKernelPass(view, index, label, *leg, de_config,
+                                  metrics != nullptr);
+        outcome.triads[s] = legResult(*leg, view.size());
+        outcome.ok[s] = 1;
+    });
     for (std::size_t s = 0; s < sizes.size(); ++s)
-        if (outcome.ok[s])
-            outcome.triads[s] = legResult(*legs[s], view.size());
-    fillLegMetrics(label, sizes, view.size(), timing, legs,
-                   outcome.triads);
+        if (!outcome.ok[s])
+            outcome.failures.push_back({s, std::move(leg_status[s])});
+    fillLegMetrics(label, sizes, view.size(), timing, outcome);
     return outcome;
 }
 

@@ -6,8 +6,9 @@
  * walks a per-model object for every reference: an AccessOutcome is
  * materialized, recordOutcome folds six counters, the DM model probes
  * a vector<bool>, and the DE model calls through the hit-last store
- * for every transition. The kernel streams the trace once, in chunks,
- * for all legs, and strips the per-reference machinery:
+ * for every transition. The kernel runs each size leg as its own pool
+ * task, streaming the trace in chunks through all three models of the
+ * leg at once, and strips the per-reference machinery:
  *
  *  - model state lives in struct-of-arrays lanes (flat tag, next-use,
  *    and sticky arrays indexed by set; a zero-page bitmap for hit-last
@@ -21,9 +22,10 @@
  *    precomputed per chunk, with an AVX2 path behind runtime dispatch
  *    (scalar fallback bit-identical).
  *
- * Results are bit-identical to the per-leg object models, which stay
- * as the reference oracle: same CacheStats, same FSM event counts, at
- * any worker count.
+ * A leg owns its lanes and tallies and only reads the shared packed
+ * view and next-use index, so results are bit-identical to the per-leg
+ * object models, which stay as the reference oracle: same CacheStats,
+ * same FSM event counts, at any worker count.
  */
 
 #ifndef DYNEX_SIM_KERNEL_H
@@ -46,8 +48,8 @@ namespace dynex
 /** Which replay strategy a sweep uses. */
 enum class ReplayEngine : std::uint8_t
 {
-    /** The SoA kernel: one trace pass feeds every (size, model) leg.
-     * The default. */
+    /** The SoA kernel: one trace pass per size feeds all three models,
+     * one pool task per size. The default. */
     Kernel,
     /** One trace pass per leg through the object models; kept as the
      * reference for equivalence and determinism checks. */
@@ -140,8 +142,10 @@ void setKernelForceScalar(bool force);
 bool kernelForceScalar();
 
 /**
- * One pass over @p trace replays all |sizes| x {conventional,
- * dynamic-exclusion, optimal} legs through the SoA lanes. A leg whose
+ * Replay all |sizes| x {conventional, dynamic-exclusion, optimal} legs
+ * through the SoA lanes: one pass over @p trace per size, each size a
+ * task on the global pool (nested under any loop the caller runs
+ * there). A leg whose
  * setup throws (or an injected fault via the sweep fault hook) is
  * recorded as a TriadLegFailure and skipped; surviving legs complete
  * with results bit-identical to an unfaulted run, and triads[s] is

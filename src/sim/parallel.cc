@@ -98,9 +98,9 @@ sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
                 return;
             }
             if (engine == ReplayEngine::Kernel) {
-                // One pass over the trace feeds every (size, model)
-                // leg of this benchmark; parallelism comes from the
-                // benchmark fan-out above.
+                // One kernel task per size, nested under the
+                // benchmark fan-out above, where the legs fill the
+                // pool's tail.
                 auto pass = replayTriadKernelChecked(
                     *trace, *index, sizes, line_bytes, config, bench);
                 outcome.grid[b] = std::move(pass.triads);

@@ -75,12 +75,13 @@ void simParallelFor(std::size_t n,
  * The full triad grid of a suite sweep: grid[b][s] is the triad of
  * benchmark_names[b] at sizes[s]. One trace and one RunStart next-use
  * index are built per benchmark (at @p line_bytes) and shared across
- * that benchmark's sizes. Benchmarks fan out across the pool; within
- * a benchmark the kernel replays all sizes x models in one trace
- * pass, while PerLeg fans the sizes out beneath it. At most one
- * trace + index per in-flight benchmark is resident, so peak memory
- * scales with the worker count rather than the suite size. Both
- * engines produce bit-identical grids at any worker count.
+ * that benchmark's sizes. Benchmarks fan out across the pool, and
+ * both engines fan a benchmark's sizes out beneath it: the kernel as
+ * one task per size replaying all three models in one trace pass,
+ * PerLeg as one runTriad per size. At most one trace + index per
+ * in-flight benchmark is resident, so peak memory scales with the
+ * worker count rather than the suite size. Both engines produce
+ * bit-identical grids at any worker count.
  *
  * Every failure — a throwing trace load, a failing leg, an injected
  * fault — is captured as a FailedLeg instead of propagating, and

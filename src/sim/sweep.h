@@ -90,9 +90,9 @@ struct SizeSweepOutcome
 /**
  * Run the three-way comparison over @p sizes on one trace. A single
  * RunStart next-use index at @p line_bytes is built once. The kernel
- * streams the trace once for all sizes and models; PerLeg replays per
- * (size, model) leg. Both produce bit-identical results at any thread
- * count.
+ * streams the trace once per size, for all three models, one pool task
+ * per size; PerLeg replays per (size, model) leg. Both produce
+ * bit-identical results at any thread count.
  *
  * A failing leg (including one injected via the sweep fault hook) is
  * recorded instead of propagating, and every other leg completes
@@ -157,7 +157,7 @@ struct SuiteAverageOutcome
  * @param refs per-benchmark reference budget.
  * @param data_refs use the data stream instead of instruction fetches.
  * @param mixed_refs use the mixed I+D stream.
- * @param engine the kernel (one trace pass per benchmark) or per-leg.
+ * @param engine the kernel (one trace pass per size) or per-leg.
  */
 SuiteAverageOutcome sweepSuiteAverageChecked(
     const std::vector<std::string> &benchmark_names, Count refs,

@@ -1,6 +1,9 @@
 #include "util/string_utils.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 namespace dynex
@@ -84,6 +87,33 @@ parseUint(const std::string &text, std::uint64_t min, std::uint64_t max)
                                     "' is not an integer in " +
                                     std::to_string(min) + ".." +
                                     std::to_string(max));
+    return value;
+}
+
+Result<double>
+parseDouble(const std::string &text, double min, double max)
+{
+    // strtod alone would skip leading space and read hex floats, inf
+    // and nan, so only plain decimal characters reach it.
+    bool valid = !text.empty() &&
+                 text.find_first_not_of("0123456789.eE+-") ==
+                     std::string::npos;
+    double value = 0;
+    if (valid) {
+        errno = 0;
+        char *end = nullptr;
+        value = std::strtod(text.c_str(), &end);
+        valid = errno == 0 && end == text.c_str() + text.size() &&
+                std::isfinite(value) && value > 0 && value >= min &&
+                value <= max;
+    }
+    if (!valid) {
+        char range[64];
+        std::snprintf(range, sizeof range, "%.15g..%.15g", min, max);
+        return Status::corruptInput("'" + text +
+                                    "' is not a number above 0 in " +
+                                    range);
+    }
     return value;
 }
 

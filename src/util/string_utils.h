@@ -1,7 +1,7 @@
 /**
  * @file
  * String helpers: byte-size formatting ("32KB") and parsing, the
- * checked integer parse behind every numeric command-line flag, and
+ * checked number parses behind every numeric command-line flag, and
  * small text utilities.
  */
 
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/status.h"
@@ -40,12 +41,23 @@ Result<std::uint64_t> parseUint(const std::string &text,
                                 std::uint64_t min, std::uint64_t max);
 
 /**
- * parseUint for the value @p text of numeric flag @p flag, stored in
- * @p out (whose type holds @p max). On failure prints "<tool>: bad
- * <flag>: <reason>" to stderr and returns false; the tools then exit
- * 2. Every numeric flag of dynex, dynex_serve and dynex_loadgen is
- * parsed here, so a typo or an out-of-range value never becomes a
- * silent 0 or a narrowing wrap.
+ * Parse @p text as a whole decimal number (digits, '.', an optional
+ * exponent) that is above 0 and in [@p min, @p max]: no space,
+ * trailing text, hex, inf, nan, or value that over- or underflows a
+ * double.
+ * @return the value, or CorruptInput naming the accepted range.
+ */
+Result<double> parseDouble(const std::string &text, double min,
+                           double max);
+
+/**
+ * parseUint (parseDouble when @p out is floating-point) for the value
+ * @p text of numeric flag @p flag, stored in @p out (whose type holds
+ * @p max). On failure prints "<tool>: bad <flag>: <reason>" to stderr
+ * and returns false; the tools then exit 2. Every numeric flag of
+ * dynex, dynex_serve and dynex_loadgen is parsed here, so a typo or an
+ * out-of-range value never becomes a silent 0, an infinity or a
+ * narrowing wrap.
  */
 template <typename T>
 bool
@@ -53,7 +65,13 @@ parseFlag(const char *tool, const std::string &flag,
           const std::string &text, std::uint64_t min, std::uint64_t max,
           T &out)
 {
-    const Result<std::uint64_t> value = parseUint(text, min, max);
+    const auto value = [&] {
+        if constexpr (std::is_floating_point_v<T>)
+            return parseDouble(text, static_cast<double>(min),
+                               static_cast<double>(max));
+        else
+            return parseUint(text, min, max);
+    }();
     if (!value.ok()) {
         std::fprintf(stderr, "%s: bad %s: %s\n", tool, flag.c_str(),
                      value.status().message().c_str());

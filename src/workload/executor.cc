@@ -4,6 +4,7 @@
 
 #include "obs/run_report.h"
 #include "server/client.h"
+#include "sim/parallel.h"
 #include "sim/sweep.h"
 #include "sim/workloads.h"
 #include "tracegen/spec.h"
@@ -52,24 +53,64 @@ appendOutcome(CampaignReport &report, const std::string &label,
     }
 }
 
+/** What one campaign source produced: one sweep outcome per line, or
+ * the first error of its spec-order walk. */
+struct SourceRun
+{
+    Status error;
+    std::vector<SizeSweepOutcome> lines;
+};
+
+/** Resolve @p source and sweep every line of @p spec over it, the
+ * lines as a nested pool loop. The trace is dropped on return. */
+SourceRun
+runSource(const CampaignSpec &spec, const TraceSource &source)
+{
+    SourceRun run;
+    const Result<Trace> trace = resolveSource(source, spec.refs);
+    if (!trace.ok()) {
+        run.error = trace.status();
+        return run;
+    }
+    std::vector<DynamicExclusionConfig> configs;
+    for (const std::uint32_t line : spec.lines) {
+        const Result<DynamicExclusionConfig> config =
+            sweepLegConfig(line, spec.stickyMax);
+        if (!config.ok()) {
+            run.error = config.status();
+            return run;
+        }
+        configs.push_back(config.value());
+    }
+    run.lines.resize(spec.lines.size());
+    simParallelFor(spec.lines.size(), [&](std::size_t l) {
+        run.lines[l] = sweepSizesChecked(trace.value(), spec.sizes,
+                                         spec.lines[l], configs[l],
+                                         spec.engine);
+    });
+    return run;
+}
+
+/**
+ * Every source is one pool task (so at most one trace per worker is
+ * resident), and the outcomes are appended serially in declaration
+ * order afterwards. The first failing source or line config in spec
+ * order is the error returned, so the report and the error are the
+ * same at any worker count.
+ */
 Status
 runLocal(const CampaignSpec &spec, CampaignReport &report)
 {
-    for (const TraceSource &source : spec.traces) {
-        Result<Trace> trace = resolveSource(source, spec.refs);
-        if (!trace.ok())
-            return trace.status();
-        for (const std::uint32_t line : spec.lines) {
-            const Result<DynamicExclusionConfig> config =
-                sweepLegConfig(line, spec.stickyMax);
-            if (!config.ok())
-                return config.status();
-            const SizeSweepOutcome outcome =
-                sweepSizesChecked(trace.value(), spec.sizes, line,
-                                  config.value(), spec.engine);
-            appendOutcome(report, source.label, line, spec.sizes,
-                          outcome);
-        }
+    std::vector<SourceRun> runs(spec.traces.size());
+    simParallelFor(spec.traces.size(), [&](std::size_t t) {
+        runs[t] = runSource(spec, spec.traces[t]);
+    });
+    for (std::size_t t = 0; t < runs.size(); ++t) {
+        if (!runs[t].error.ok())
+            return runs[t].error;
+        for (std::size_t l = 0; l < spec.lines.size(); ++l)
+            appendOutcome(report, spec.traces[t].label, spec.lines[l],
+                          spec.sizes, runs[t].lines[l]);
     }
     return Status();
 }

@@ -12,6 +12,11 @@
  * execution, at any worker count, with any replay engine: sweep
  * doubles travel the wire bit-exactly and failure statuses round-trip
  * through statusFromWire to the same toString() text.
+ *
+ * A local run is one task per source on the simulation pool (the
+ * source's lines a nested loop, each sweep's size legs nested again),
+ * so --threads / DYNEX_THREADS bound both its parallelism and the
+ * number of resolved traces resident at once.
  */
 
 #ifndef DYNEX_WORKLOAD_EXECUTOR_H

@@ -154,20 +154,36 @@ TEST(MetricsReport, CountersTrackTheRunShape)
 {
     ThreadCountGuard guard;
     const Trace trace = conflictTrace();
-    const SweptReport swept =
-        sweepWithMetrics(trace, 4, ReplayEngine::Kernel);
-    const auto counter = [&](obs::Counter c) {
-        return swept.report.counters[static_cast<std::size_t>(c)];
-    };
-    EXPECT_EQ(counter(obs::Counter::IndexBuilds), 1u);
-    EXPECT_GT(counter(obs::Counter::IndexBuildNs), 0u);
-    // One chunk per started block of the trace.
+    // One chunk per started block of the trace, counted once per
+    // trace chunk however many legs replay it, at any worker count.
     const std::uint64_t chunks =
         (trace.size() + detail::kKernelChunkRefs - 1) /
         detail::kKernelChunkRefs;
-    EXPECT_EQ(counter(obs::Counter::ReplayChunks), chunks);
-    // Single-trace sweeps never call loadStream.
-    EXPECT_EQ(counter(obs::Counter::TraceLoadRefs), 0u);
+    ASSERT_GT(chunks, 1u);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const SweptReport swept =
+            sweepWithMetrics(trace, threads, ReplayEngine::Kernel);
+        const auto counter = [&](obs::Counter c) {
+            return swept.report.counters[static_cast<std::size_t>(c)];
+        };
+        EXPECT_EQ(counter(obs::Counter::IndexBuilds), 1u);
+        EXPECT_GT(counter(obs::Counter::IndexBuildNs), 0u);
+        EXPECT_EQ(counter(obs::Counter::ReplayChunks), chunks);
+        // Single-trace sweeps never call loadStream.
+        EXPECT_EQ(counter(obs::Counter::TraceLoadRefs), 0u);
+        // Every leg, whichever task ran it, carries its per-model
+        // replay split.
+        ASSERT_EQ(swept.report.legs.size(), kSizes.size());
+        for (const obs::LegMetrics &leg : swept.report.legs) {
+            EXPECT_GT(leg.dmReplayNs, 0u) << leg.sizeBytes;
+            EXPECT_GT(leg.deReplayNs, 0u) << leg.sizeBytes;
+            EXPECT_GT(leg.optReplayNs, 0u) << leg.sizeBytes;
+            EXPECT_EQ(leg.replayNs,
+                      leg.dmReplayNs + leg.deReplayNs + leg.optReplayNs)
+                << leg.sizeBytes;
+        }
+    }
 }
 
 TEST(MetricsReport, InstrumentationDoesNotPerturbResults)

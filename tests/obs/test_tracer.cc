@@ -3,13 +3,14 @@
  * Tests of the Chrome trace-event tracer: output must parse as JSON
  * with the trace-event shape, and the recorded spans must nest — every
  * leg span inside its sweep span (per-leg engine), every chunk span
- * inside the kernel-replay pass (kernel engine).
+ * inside its own leg's kernel-replay pass (kernel engine).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "json_checker.h"
@@ -113,7 +114,7 @@ TEST(Tracer, OutputIsValidTraceEventJson)
     };
     EXPECT_EQ(count("sweep"), 1u);
     EXPECT_EQ(count("index"), 1u);
-    EXPECT_EQ(count("replay"), 1u);
+    EXPECT_EQ(count("replay"), 3u); // one kernel pass per cache size
     EXPECT_GT(count("kernel"), 0u);
 }
 
@@ -139,27 +140,54 @@ TEST(Tracer, LegSpansNestInsideTheSweepSpan)
             << "]";
 }
 
+/** The size a kernel span names: the text after its last " @ ". */
+std::string
+spanSize(const Span &span)
+{
+    const std::size_t at = span.name.rfind(" @ ");
+    return at == std::string::npos ? std::string()
+                                   : span.name.substr(at + 3);
+}
+
 TEST(Tracer, ChunkSpansNestInsideTheKernelPass)
 {
     ThreadCountGuard guard;
-    const auto spans = runTracedSweep(ReplayEngine::Kernel, 2);
-    const Span *sweep = nullptr;
-    const Span *pass = nullptr;
-    std::vector<const Span *> chunks;
-    for (const auto &span : spans) {
-        if (span.cat == "sweep")
-            sweep = &span;
-        else if (span.cat == "replay")
-            pass = &span;
-        else if (span.cat == "kernel")
-            chunks.push_back(&span);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const auto spans = runTracedSweep(ReplayEngine::Kernel, threads);
+        const Span *sweep = nullptr;
+        std::map<std::string, const Span *> passes;
+        std::vector<const Span *> chunks;
+        for (const auto &span : spans) {
+            if (span.cat == "sweep") {
+                sweep = &span;
+            } else if (span.cat == "replay") {
+                EXPECT_TRUE(passes.emplace(spanSize(span), &span).second)
+                    << "two passes named " << span.name;
+            } else if (span.cat == "kernel") {
+                chunks.push_back(&span);
+            }
+        }
+        ASSERT_NE(sweep, nullptr);
+        // One pass per leg, each named with its size.
+        ASSERT_EQ(passes.size(), 3u);
+        for (const char *size : {"64", "256", "1024"})
+            ASSERT_EQ(passes.count(size), 1u) << size;
+        for (const auto &[size, pass] : passes)
+            EXPECT_TRUE(nestedIn(*pass, *sweep)) << pass->name;
+        // Every leg replays every chunk of the trace, inside its own
+        // pass.
+        const std::size_t trace_chunks =
+            (conflictTrace().size() + detail::kKernelChunkRefs - 1) /
+            detail::kKernelChunkRefs;
+        ASSERT_EQ(chunks.size(), passes.size() * trace_chunks);
+        for (const Span *chunk : chunks) {
+            const auto pass = passes.find(spanSize(*chunk));
+            ASSERT_NE(pass, passes.end()) << chunk->name;
+            EXPECT_TRUE(nestedIn(*chunk, *pass->second))
+                << chunk->name << " outside " << pass->second->name;
+        }
     }
-    ASSERT_NE(sweep, nullptr);
-    ASSERT_NE(pass, nullptr);
-    ASSERT_FALSE(chunks.empty());
-    EXPECT_TRUE(nestedIn(*pass, *sweep));
-    for (const Span *chunk : chunks)
-        EXPECT_TRUE(nestedIn(*chunk, *pass)) << chunk->name;
 }
 
 TEST(Tracer, SortedEventsOpenEnclosingSpansFirst)

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <string>
 
+#include "cache/victim.h"
 #include "server/protocol.h"
 #include "sim/sweep.h"
 #include "util/crc32.h"
@@ -276,6 +277,29 @@ TEST(Dxp1Bodies, ReplayRequestRoundTrips)
     EXPECT_EQ(parsed.value().lastLine, request.lastLine);
     EXPECT_EQ(parsed.value().victimEntries, request.victimEntries);
     EXPECT_EQ(parsed.value().deadlineMs, request.deadlineMs);
+}
+
+TEST(Dxp1Bodies, ReplayRequestVictimBufferIsCapped)
+{
+    // The daemon reserves victimEntries slots up front, so the wire
+    // holds them to the CLI's --victim cap.
+    ReplayRequest request;
+    request.trace = "gcc";
+    request.victimEntries = kMaxVictimEntries;
+    const auto at_cap = parseReplayRequest(encodeReplayRequest(request));
+    ASSERT_TRUE(at_cap.ok()) << at_cap.status().toString();
+    EXPECT_EQ(at_cap.value().victimEntries, kMaxVictimEntries);
+    for (const std::uint32_t entries :
+         {kMaxVictimEntries + 1, std::uint32_t{0xffffffff}}) {
+        request.victimEntries = entries;
+        const auto over =
+            parseReplayRequest(encodeReplayRequest(request));
+        ASSERT_FALSE(over.ok()) << entries;
+        EXPECT_EQ(over.status().code(), StatusCode::CorruptInput);
+        EXPECT_NE(over.status().message().find("65536"),
+                  std::string::npos)
+            << over.status().toString();
+    }
 }
 
 TEST(Dxp1Bodies, SweepRequestAcceptsEveryEngineAndRejectsUnknown)

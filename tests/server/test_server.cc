@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "cache/factory.h"
+#include "cache/victim.h"
 #include "server/client.h"
 #include "server/net.h"
 #include "server/server.h"
@@ -560,6 +561,30 @@ TEST(ServerEndToEnd, ZeroStickyIsCorruptInput)
               StatusCode::CorruptInput);
     EXPECT_TRUE(client.ping().ok());
     EXPECT_EQ(server.counters().errors, 3u);
+}
+
+TEST(ServerEndToEnd, OversizedVictimBufferIsCorruptInput)
+{
+    // The victim buffer reserves its entries up front: an unchecked
+    // u32 asked the daemon for tens of GB.
+    Server server(benchServer("nasa7"));
+    ASSERT_TRUE(server.start().ok());
+    Client client = mustConnect(server);
+
+    ReplayRequest replay;
+    replay.trace = "nasa7";
+    replay.model = "dm";
+    replay.victimEntries = kMaxVictimEntries + 1;
+    EXPECT_EQ(client.replay(replay).status().code(),
+              StatusCode::CorruptInput);
+    EXPECT_EQ(server.counters().errors, 1u);
+
+    // The same connection still serves the next request.
+    replay.victimEntries = 4;
+    const auto served = client.replay(replay);
+    ASSERT_TRUE(served.ok()) << served.status().toString();
+    EXPECT_GT(served.value().refs, 0u);
+    EXPECT_EQ(served.value().stats.accesses, served.value().refs);
 }
 
 TEST(ServerEndToEnd, DefaultAxisLinesWiderThanOneKilobyteAreCorruptInput)

@@ -122,12 +122,13 @@ TEST(KernelReplay, MatchesPerLegWithNonDefaultDeConfig)
 /**
  * kernelTrace's loops with every fifth reference drawn from a pool of
  * 64 blocks that runs up to exactly @p max_block at @p line
- * granularity. The pool blocks recur and share sets with the loops,
- * so their hit-last bits decide real conflicts, and they spread over
- * the whole bitmap, so its pages are touched far apart.
+ * granularity, all shifted up by @p base blocks. The pool blocks recur
+ * and share sets with the loops, so their hit-last bits decide real
+ * conflicts, and they spread over the whole bitmap, so its pages are
+ * touched far apart.
  */
 Trace
-boundaryTrace(Addr max_block, std::uint32_t line)
+boundaryTrace(Addr max_block, std::uint32_t line, Addr base = 0)
 {
     Rng rng(0xb0d7 ^ max_block);
     std::vector<Addr> pool = {max_block, max_block - 1, 0};
@@ -142,16 +143,21 @@ boundaryTrace(Addr max_block, std::uint32_t line)
         if (i % 5 == 0)
             trace.append(load(pool[rng.nextBelow(pool.size())] * line));
     }
+    for (MemRef &ref : trace.mutableRecords())
+        ref.addr += base * line;
     return trace;
 }
 
 TEST(KernelReplay, SparseBlocksFallBackToTheIdealStore)
 {
     ThreadCountGuard guard;
-    // The flat hit-last bitmap covers blocks below 2^26 and only a
-    // cold-false start; a block at the cap, a cold-true start, or
-    // blocks far beyond it use the IdealHitLastStore lane, with
-    // identical values.
+    // The flat hit-last bitmap covers a cold-false leg whose blocks
+    // span less than 2^26 from their lowest block rounded down to a
+    // multiple of 64; a span at the cap, a cold-true start, or blocks
+    // far apart use the IdealHitLastStore lane, with identical values.
+    // The spans start at block 0, at 2^26 (where the suite's data
+    // streams start at 4-byte lines), and at an unaligned block higher
+    // up, whose bitmap base rounds down by 37.
     struct Case
     {
         std::string label;
@@ -160,17 +166,27 @@ TEST(KernelReplay, SparseBlocksFallBackToTheIdealStore)
         DynamicExclusionConfig config;
     };
     std::vector<Case> cases;
-    for (const Addr max_block : {(Addr{1} << 26) - 1, Addr{1} << 26}) {
-        for (const std::uint32_t line : {4u, 16u}) {
-            for (const bool initial : {false, true}) {
-                DynamicExclusionConfig config;
-                config.useLastLine = line > 4;
-                config.initialHitLast = initial;
-                cases.push_back({"max block " + std::to_string(max_block) +
-                                     " line " + std::to_string(line) +
-                                     " initial " + std::to_string(initial),
-                                 boundaryTrace(max_block, line), line,
-                                 config});
+    const Addr cap = Addr{1} << 26;
+    const struct
+    {
+        Addr base;
+        Addr slack; // blocks between the bitmap base and the lowest block
+    } starts[] = {{0, 0}, {cap, 0}, {3 * cap + 37, 37}};
+    for (const auto &start : starts) {
+        for (const Addr top : {cap - 1 - start.slack, cap - start.slack}) {
+            for (const std::uint32_t line : {4u, 16u}) {
+                for (const bool initial : {false, true}) {
+                    DynamicExclusionConfig config;
+                    config.useLastLine = line > 4;
+                    config.initialHitLast = initial;
+                    cases.push_back(
+                        {"base " + std::to_string(start.base) +
+                             " top " + std::to_string(top) + " line " +
+                             std::to_string(line) + " initial " +
+                             std::to_string(initial),
+                         boundaryTrace(top, line, start.base), line,
+                         config});
+                }
             }
         }
     }

@@ -258,6 +258,11 @@ TEST(CliTool, NumericFlagsAreCheckedAtParseTime)
         {DYNEX_LOADGEN_PATH, "--port 65536 --mode bogus", "--port"},
         {DYNEX_LOADGEN_PATH, "--port 1 --duration-ms 1s --mode bogus",
          "--duration-ms"},
+        {DYNEX_LOADGEN_PATH, "--port 1 --rps 5abc --mode bogus", "--rps"},
+        {DYNEX_LOADGEN_PATH, "--port 1 --rps 1e400 --mode bogus", "--rps"},
+        {DYNEX_LOADGEN_PATH, "--port 1 --rps inf --mode bogus", "--rps"},
+        {DYNEX_LOADGEN_PATH, "--port 1 --rps nan --mode bogus", "--rps"},
+        {DYNEX_LOADGEN_PATH, "--port 1 --rps 0 --mode bogus", "--rps"},
     };
     for (const Row &row : rows) {
         const auto result =
@@ -275,6 +280,36 @@ TEST(CliTool, NumericFlagsAreCheckedAtParseTime)
     EXPECT_EQ(ephemeral.exitCode, 2);
     EXPECT_NE(ephemeral.output.find("unknown benchmark"), std::string::npos)
         << ephemeral.output;
+}
+
+TEST(CliTool, CampaignFailureIsTheSameAtAnyThreadCount)
+{
+    // The sources run as concurrent pool tasks; the one reported is
+    // still the first failing source in spec order.
+    const std::string spec = ::testing::TempDir() + "/cli_fanout.dxc";
+    {
+        std::ofstream out(spec);
+        out << "campaign \"fanout\" {\n"
+               "  trace bench espresso;\n"
+               "  trace file \"/nonexistent/first.dxt2\";\n"
+               "  trace bench doduc;\n"
+               "  trace file \"/nonexistent/second.dxt2\";\n"
+               "  sizes 1KB, 4KB;\n"
+               "  lines 4, 16;\n"
+               "  refs 8000;\n"
+               "}\n";
+    }
+    const auto one = runCli("campaign run " + spec + " --threads 1");
+    EXPECT_NE(one.exitCode, 0);
+    EXPECT_NE(one.output.find("first.dxt2"), std::string::npos)
+        << one.output;
+    for (const char *threads : {"2", "8"}) {
+        const auto many = runCli("campaign run " + spec + " --threads " +
+                                 threads);
+        EXPECT_EQ(many.exitCode, one.exitCode) << threads;
+        EXPECT_EQ(many.output, one.output) << threads;
+    }
+    std::remove(spec.c_str());
 }
 
 TEST(CliTool, UsageDocumentsThreads)

@@ -70,6 +70,30 @@ TEST(ParseUint, RejectsGarbageRangeAndOverflow)
     EXPECT_FALSE(parseUint("256", 1, 255).ok());
 }
 
+TEST(ParseDouble, AcceptsPlainDecimalsInRange)
+{
+    EXPECT_EQ(parseDouble("5", 0, 100).value(), 5.0);
+    EXPECT_EQ(parseDouble("0.25", 0, 100).value(), 0.25);
+    EXPECT_EQ(parseDouble(".5", 0, 100).value(), 0.5);
+    EXPECT_EQ(parseDouble("1e2", 0, 100).value(), 100.0);
+    EXPECT_EQ(parseDouble("2.5E-1", 0, 100).value(), 0.25);
+    EXPECT_EQ(parseDouble("+7", 0, 100).value(), 7.0);
+}
+
+TEST(ParseDouble, RejectsTrailingTextNonFiniteAndNonPositive)
+{
+    for (const char *text :
+         {"", "abc", "5abc", "5 ", " 5", "1e400", "1e-400", "inf",
+          "-inf", "infinity", "nan", "NAN", "0x10", "0", "0.0", "-1",
+          "-0", "1e", ".", "1..2", "101"})
+        EXPECT_FALSE(parseDouble(text, 0, 100).ok()) << text;
+    const Result<double> low = parseDouble("0.5", 1, 1000000);
+    ASSERT_FALSE(low.ok());
+    EXPECT_EQ(low.status().code(), StatusCode::CorruptInput);
+    EXPECT_EQ(low.status().message(),
+              "'0.5' is not a number above 0 in 1..1000000");
+}
+
 TEST(Split, BasicSplitting)
 {
     EXPECT_EQ(split("a,b,c", ','),

@@ -107,19 +107,69 @@ TEST(CampaignExecutor, ReportCoversEveryLegInDeclarationOrder)
     }
 }
 
+/** A campaign of @p sources at lines 4 and 16. */
+CampaignSpec
+sourcesSpec(const std::vector<std::string> &sources)
+{
+    std::string text = "campaign \"fan\" {\n";
+    for (const std::string &source : sources)
+        text += "  trace " + source + ";\n";
+    text += "  sizes 1KB, 4KB;\n"
+            "  lines 4, 16;\n"
+            "  refs 12000;\n"
+            "}\n";
+    auto spec = parseCampaign(text);
+    EXPECT_TRUE(spec.ok()) << spec.status().toString();
+    return spec.ok() ? std::move(spec.value()) : CampaignSpec{};
+}
+
 TEST(CampaignExecutor, ReportsAreByteIdenticalAtAnyWorkerCount)
 {
+    // Sources, their lines and each sweep's legs all run on the pool;
+    // the report is still assembled in declaration order.
     ThreadCountGuard guard;
-    const CampaignSpec spec = smallSpec();
-    ThreadPool::setConfiguredWorkers(1);
-    const std::string one = runToJson(spec, {});
-    ThreadPool::setConfiguredWorkers(2);
-    const std::string two = runToJson(spec, {});
-    ThreadPool::setConfiguredWorkers(8);
-    const std::string eight = runToJson(spec, {});
-    EXPECT_EQ(one, two);
-    EXPECT_EQ(one, eight);
-    EXPECT_FALSE(one.empty());
+    const CampaignSpec spec = sourcesSpec(
+        {"bench espresso", "bench doduc", "bench li", "bench fpppp"});
+    std::string json, csv;
+    for (const unsigned workers : {1u, 2u, 8u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        ThreadPool::setConfiguredWorkers(workers);
+        const auto report = runCampaign(spec, {});
+        ASSERT_TRUE(report.ok()) << report.status().toString();
+        ASSERT_EQ(report.value().legs.size(), 4u * 2 * 2);
+        EXPECT_EQ(report.value().legs[4].trace, "doduc");
+        EXPECT_EQ(report.value().legs[12].trace, "fpppp");
+        if (workers == 1) {
+            json = report.value().toJson();
+            csv = report.value().toCsv();
+        }
+        EXPECT_EQ(report.value().toJson(), json);
+        EXPECT_EQ(report.value().toCsv(), csv);
+    }
+}
+
+TEST(CampaignExecutor, FirstFailingSourceInSpecOrderAtAnyWorkerCount)
+{
+    // Two unreadable sources between good ones: whichever task fails
+    // first, the error is the first failing source in spec order.
+    ThreadCountGuard guard;
+    const CampaignSpec spec = sourcesSpec(
+        {"bench espresso", "file \"/nonexistent/first.dxt2\"",
+         "bench doduc", "file \"/nonexistent/second.dxt2\"",
+         "bench li"});
+    std::string error;
+    for (const unsigned workers : {1u, 2u, 8u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        ThreadPool::setConfiguredWorkers(workers);
+        const auto report = runCampaign(spec, {});
+        ASSERT_FALSE(report.ok());
+        EXPECT_NE(report.status().toString().find("first.dxt2"),
+                  std::string::npos)
+            << report.status().toString();
+        if (workers == 1)
+            error = report.status().toString();
+        EXPECT_EQ(report.status().toString(), error);
+    }
 }
 
 TEST(CampaignExecutor, EnginesAgreeByteForByte)

@@ -26,10 +26,10 @@
  * KIND (stream): mixed | ifetch | data        (benchmarks only)
  * S, L accept size suffixes: 32KB, 16, 8K, ...
  *
- * Simulation commands that run several models or sizes (triad, sweep)
- * fan out across a thread pool; --threads N (or the DYNEX_THREADS
- * environment variable) sets the worker count. Results are identical
- * at any thread count.
+ * Simulation commands that run several models, sizes or sources
+ * (triad, sweep, campaign run) fan out across a thread pool;
+ * --threads N (or the DYNEX_THREADS environment variable) sets the
+ * worker count. Results are identical at any thread count.
  */
 
 #include <algorithm>
@@ -105,11 +105,9 @@ struct Options
     bool force = false;      // --force: overwrite existing outputs
 };
 
-// Upper bounds of the numeric flags without a natural one: a watch
-// period of a day, and a victim buffer far beyond the paper's few
-// entries.
+// Upper bound of a numeric flag without a natural one: a watch period
+// of a day.
 constexpr std::uint64_t kMaxWatchSec = 86400;
-constexpr std::uint64_t kMaxVictimEntries = 65536;
 
 /** Apply --threads to the simulation pool before any sweep runs. */
 void
@@ -207,17 +205,19 @@ printUsage(std::FILE *out)
         "                      it the output extension decides\n"
         "         --force      convert/import: overwrite an existing\n"
         "                      output file instead of refusing\n"
-        "         --threads N  simulation worker threads for triad and\n"
-        "                      sweep (default: DYNEX_THREADS if set,\n"
-        "                      else all hardware threads); any count\n"
-        "                      produces identical results\n"
+        "         --threads N  simulation worker threads for triad,\n"
+        "                      sweep and campaign run (default:\n"
+        "                      DYNEX_THREADS if set, else all\n"
+        "                      hardware threads); any count produces\n"
+        "                      identical results\n"
         "         --replay E   sweep replay engine; valid engines:\n"
-        "                      kernel (default) streams the trace\n"
-        "                      once for all sizes and models through\n"
-        "                      the SoA kernel; per-leg replays the\n"
-        "                      object models once per leg; both\n"
-        "                      produce identical output (batched is\n"
-        "                      an alias of kernel)\n"
+        "                      kernel (default) replays each cache\n"
+        "                      size's three models in one trace pass\n"
+        "                      through the SoA kernel, one pool task\n"
+        "                      per size; per-leg replays the object\n"
+        "                      models once per leg; both produce\n"
+        "                      identical output (batched is an alias\n"
+        "                      of kernel)\n"
         "         --inject-fault S  (testing) fail the sweep leg at\n"
         "                      cache size S; other legs still complete\n"
         "                      and the failure is reported\n"
@@ -867,14 +867,11 @@ class SweepObservation
             obs::setPoolJobSpans(true);
         }
         if (opts.progress) {
-            // Work units are references replayed: the kernel streams
-            // the trace once for all legs, the per-leg engine once per
-            // leg.
+            // Work units are references replayed: both engines
+            // stream the trace once per size leg.
             const auto total =
                 static_cast<std::uint64_t>(trace.size()) *
-                (opts.replay == ReplayEngine::PerLeg
-                     ? paperCacheSizes().size()
-                     : 1);
+                paperCacheSizes().size();
             bar = std::make_unique<obs::ProgressBar>(traceName, total);
             obs::ProgressBar::setActive(bar.get());
         }

@@ -66,6 +66,9 @@ struct MixWeights
     unsigned total() const { return ping + ls + sweep; }
 };
 
+/** The highest --rps: far beyond what one load generator can drive. */
+constexpr std::uint64_t kMaxRps = 1000000;
+
 struct Options
 {
     std::string host = "127.0.0.1";
@@ -95,7 +98,8 @@ usage()
         "  --host H           server address (default 127.0.0.1)\n"
         "  --mode open|closed open: Poisson arrivals at --rps;\n"
         "                     closed: back-to-back (default open)\n"
-        "  --rps R            open-loop aggregate request rate\n"
+        "  --rps R            open-loop aggregate request rate, a\n"
+        "                     number above 0 up to 1000000\n"
         "                     (default 50)\n"
         "  --clients N        concurrent client connections\n"
         "                     (default 4)\n"
@@ -384,15 +388,7 @@ main(int argc, char **argv)
             }
         }
         else if (flag == "--rps")
-        {
-            options.rps = std::strtod(v, nullptr);
-            if (options.rps <= 0)
-            {
-                std::fprintf(stderr,
-                             "dynex_loadgen: --rps must be > 0\n");
-                return 2;
-            }
-        }
+            ok = number(options.rps, 0, kMaxRps);
         else if (flag == "--clients")
             ok = number(options.clients, 1, kMaxWorkers);
         else if (flag == "--duration-ms")

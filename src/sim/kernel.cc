@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define DYNEX_KERNEL_HAVE_AVX2 1
@@ -432,13 +433,14 @@ legResult(const KernelLeg &leg, std::uint64_t refs)
     return r;
 }
 
-/** Per-model wall time of one leg's pass; zero when the pass is not
- * timed. */
+/** Wall time of one leg's replay, zero when it is not timed:
+ * replayNs in all, and the kernel's per-model split of it. */
 struct LegTiming
 {
     std::uint64_t dmNs = 0;
     std::uint64_t deNs = 0;
     std::uint64_t optNs = 0;
+    std::uint64_t replayNs = 0;
 };
 
 /** The lowest and highest block number of the view, used to place and
@@ -464,9 +466,8 @@ blockSpanOf(const PackedTraceView &view)
  * Observability: when @p timed (a metrics collector is installed)
  * each model's chunk slice is timed (per chunk x model, never per
  * reference); under a tracer the pass and each chunk get spans named
- * with the leg's size; under a progress bar each chunk reports its
- * references (progress advances in references replayed per leg). With
- * none installed the cost is two null checks per chunk.
+ * with the leg's size. With neither installed the cost is one null
+ * check per chunk.
  */
 LegTiming
 runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
@@ -474,7 +475,6 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
               const DynamicExclusionConfig &config, bool timed)
 {
     obs::Tracer *const tracer = obs::Tracer::active();
-    obs::ProgressBar *const progress = obs::ProgressBar::active();
     const std::string size_tag =
         tracer ? " @ " + std::to_string(leg.sizeBytes) : std::string();
 
@@ -522,8 +522,6 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
             timing.deNs += t2 - t1;
             timing.optNs += obs::monotonicNs() - t2;
         }
-        if (progress)
-            progress->add(len);
         if (tracer)
             tracer->complete("chunk@" + std::to_string(base) + size_tag,
                              "kernel", chunk_start,
@@ -532,39 +530,30 @@ runKernelPass(const PackedTraceView &view, const NextUseIndex &index,
     if (tracer)
         tracer->complete("kernel-replay " + label + size_tag, "replay",
                          pass_start, tracer->nowNs() - pass_start);
+    timing.replayNs = timing.dmNs + timing.deNs + timing.optNs;
     return timing;
 }
 
-/** Record every completed leg into its registered metrics slot (legs
- * that were never registered, or that failed, are skipped). */
-void
-fillLegMetrics(const std::string &label,
-               const std::vector<std::uint64_t> &sizes,
-               std::size_t refs, const std::vector<LegTiming> &timing,
-               const TriadPassOutcome &outcome)
+/** The per-leg body: runTriad through the object models under a
+ * "leg" span, timed whole when @p timed. */
+TriadResult
+perLegTriad(const Trace &trace, const NextUseIndex &index,
+            const std::string &label, std::uint64_t size_bytes,
+            std::uint32_t line_bytes, const DynamicExclusionConfig &config,
+            bool timed, LegTiming &timing)
 {
-    obs::MetricsCollector *const metrics = obs::activeMetrics();
-    if (!metrics)
-        return;
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
-        if (!outcome.ok[s])
-            continue;
-        obs::LegMetrics *const leg = metrics->leg(label, sizes[s]);
-        if (!leg)
-            continue;
-        const TriadResult &triad = outcome.triads[s];
-        leg->refs = refs;
-        leg->dm = triad.dm;
-        leg->de = triad.de;
-        leg->opt = triad.opt;
-        leg->deEvents = triad.deEvents;
-        leg->dmReplayNs = timing[s].dmNs;
-        leg->deReplayNs = timing[s].deNs;
-        leg->optReplayNs = timing[s].optNs;
-        leg->replayNs =
-            timing[s].dmNs + timing[s].deNs + timing[s].optNs;
-        leg->done = true;
-    }
+    obs::Tracer *const tracer = obs::Tracer::active();
+    const std::uint64_t metrics_t0 = timed ? obs::monotonicNs() : 0;
+    const std::uint64_t tracer_t0 = tracer ? tracer->nowNs() : 0;
+    const TriadResult triad =
+        runTriad(trace, index, size_bytes, line_bytes, config);
+    if (timed)
+        timing.replayNs = obs::monotonicNs() - metrics_t0;
+    if (tracer)
+        tracer->complete("leg " + label + " @ " +
+                             std::to_string(size_bytes),
+                         "leg", tracer_t0, tracer->nowNs() - tracer_t0);
+    return triad;
 }
 
 } // namespace
@@ -632,76 +621,103 @@ kernelForceScalar()
     return gForceScalar.load(std::memory_order_relaxed);
 }
 
-TriadPassOutcome
-replayTriadKernelChecked(const Trace &trace, const NextUseIndex &index,
-                         const std::vector<std::uint64_t> &sizes,
-                         std::uint32_t line_bytes,
-                         const DynamicExclusionConfig &de_config,
-                         const std::string &bench)
+std::string
+FailedLeg::toString() const
 {
-    const PackedTraceView view(trace, line_bytes);
-    DYNEX_ASSERT(index.blockSize() == line_bytes,
-                 "index granularity mismatch");
-    DYNEX_ASSERT(view.size() <= index.size(),
-                 "next-use index shorter than the trace");
-    DYNEX_ASSERT(de_config.stickyMax >= 1,
-                 "sticky_max must be at least 1");
+    std::ostringstream oss;
+    oss << bench << " @ "
+        << (sizeBytes ? formatSize(sizeBytes) : std::string("all"))
+        << " [" << model << "]: " << status.toString();
+    return oss.str();
+}
+
+TriadLegs
+replayTriads(const Trace &trace, const NextUseIndex &index,
+             const std::vector<std::uint64_t> &sizes,
+             std::uint32_t line_bytes, const DynamicExclusionConfig &config,
+             const std::string &bench, ReplayEngine engine)
+{
+    DYNEX_ASSERT(index.blockSize() == line_bytes &&
+                     index.mode() == NextUseMode::RunStart,
+                 "replayTriads needs a RunStart index at line "
+                 "granularity");
+    DYNEX_ASSERT(config.stickyMax >= 1, "sticky_max must be at least 1");
     const std::string &label = bench.empty() ? trace.name() : bench;
-    const BlockSpan span = blockSpanOf(view);
-
-    TriadPassOutcome outcome;
-    outcome.triads.resize(sizes.size());
-    outcome.ok.assign(sizes.size(), 0);
-
     obs::MetricsCollector *const metrics = obs::activeMetrics();
-    if (metrics)
-        // One count per trace chunk, however many legs replay it.
-        metrics->add(obs::Counter::ReplayChunks,
-                     (view.size() + detail::kKernelChunkRefs - 1) /
-                         detail::kKernelChunkRefs);
+    obs::ProgressBar *const progress = obs::ProgressBar::active();
 
-    // Every leg is its own pool task. A leg owns its lanes, hit-last
-    // bits and tallies and reads only the shared view and index, so
-    // each triad is bit-identical at any worker count. A leg that
-    // fails setup (or an injected fault) records its status and skips
-    // the pass; legs never interact, so the survivors replay exactly
-    // as they would in an unfaulted run. A leg's lanes are freed when
-    // its task ends, so at most one leg per worker is resident.
+    // The kernel's shared inputs, built once for all its legs.
+    std::optional<PackedTraceView> view;
+    BlockSpan span;
+    if (engine == ReplayEngine::Kernel) {
+        view.emplace(trace, line_bytes);
+        DYNEX_ASSERT(view->size() <= index.size(),
+                     "next-use index shorter than the trace");
+        span = blockSpanOf(*view);
+        if (metrics)
+            // One count per trace chunk, however many legs replay it.
+            metrics->add(obs::Counter::ReplayChunks,
+                         (view->size() + detail::kKernelChunkRefs - 1) /
+                             detail::kKernelChunkRefs);
+    }
+
+    // Every leg is its own pool task. A leg owns its lanes (or models)
+    // and tallies and reads only the shared trace, view and index, so
+    // each triad is bit-identical at any worker count, and a failed
+    // leg cannot perturb its siblings. A kernel leg's lanes are freed
+    // when its task ends, so at most one leg per worker is resident.
+    TriadLegs legs;
+    legs.triads.resize(sizes.size());
+    legs.ok.assign(sizes.size(), 0);
     std::vector<LegTiming> timing(sizes.size());
-    std::vector<Status> leg_status(sizes.size());
+    std::vector<Status> status(sizes.size());
     simParallelFor(sizes.size(), [&](std::size_t s) {
-        std::unique_ptr<KernelLeg> leg;
         try {
             if (const auto &hook = sweepFaultHook())
                 hook(label, sizes[s]);
-            leg = std::make_unique<KernelLeg>(sizes[s], line_bytes, span,
-                                              de_config);
+            if (engine == ReplayEngine::Kernel) {
+                KernelLeg leg(sizes[s], line_bytes, span, config);
+                timing[s] = runKernelPass(*view, index, label, leg, config,
+                                          metrics != nullptr);
+                legs.triads[s] = legResult(leg, view->size());
+            } else {
+                legs.triads[s] =
+                    perLegTriad(trace, index, label, sizes[s], line_bytes,
+                                config, metrics != nullptr, timing[s]);
+            }
+            legs.ok[s] = 1;
         } catch (...) {
-            leg_status[s] = statusFromException(std::current_exception());
+            status[s] = statusFromException(std::current_exception());
             return;
         }
-        timing[s] = runKernelPass(view, index, label, *leg, de_config,
-                                  metrics != nullptr);
-        outcome.triads[s] = legResult(*leg, view.size());
-        outcome.ok[s] = 1;
+        if (progress)
+            progress->add(trace.size());
     });
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        if (!outcome.ok[s])
-            outcome.failures.push_back({s, std::move(leg_status[s])});
-    fillLegMetrics(label, sizes, view.size(), timing, outcome);
-    return outcome;
-}
 
-std::vector<TriadResult>
-replayTriadKernel(const Trace &trace, const NextUseIndex &index,
-                  const std::vector<std::uint64_t> &sizes,
-                  std::uint32_t line_bytes,
-                  const DynamicExclusionConfig &de_config)
-{
-    TriadPassOutcome outcome = replayTriadKernelChecked(
-        trace, index, sizes, line_bytes, de_config);
-    throwFirstFailure(outcome);
-    return std::move(outcome.triads);
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
+        if (!legs.ok[s]) {
+            legs.failures.push_back({.bench = label,
+                                     .sizeBytes = sizes[s],
+                                     .status = std::move(status[s])});
+            continue;
+        }
+        obs::LegMetrics *const slot =
+            metrics ? metrics->leg(label, sizes[s]) : nullptr;
+        if (!slot)
+            continue;
+        const TriadResult &triad = legs.triads[s];
+        slot->refs = trace.size();
+        slot->dm = triad.dm;
+        slot->de = triad.de;
+        slot->opt = triad.opt;
+        slot->deEvents = triad.deEvents;
+        slot->dmReplayNs = timing[s].dmNs;
+        slot->deReplayNs = timing[s].deNs;
+        slot->optReplayNs = timing[s].optNs;
+        slot->replayNs = timing[s].replayNs;
+        slot->done = true;
+    }
+    return legs;
 }
 
 } // namespace dynex

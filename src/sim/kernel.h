@@ -1,31 +1,31 @@
 /**
  * @file
- * The SoA replay kernel: the production engine behind every sweep.
+ * Triad replay: the one leg driver behind every sweep, and the SoA
+ * kernel that is its default leg body.
  *
- * A per-leg sweep re-streams the trace once per (size, model) leg and
- * walks a per-model object for every reference: an AccessOutcome is
- * materialized, recordOutcome folds six counters, the DM model probes
- * a vector<bool>, and the DE model calls through the hit-last store
- * for every transition. The kernel runs each size leg as its own pool
- * task, streaming the trace in chunks through all three models of the
- * leg at once, and strips the per-reference machinery:
+ * replayTriads runs the triad (direct-mapped, dynamic exclusion,
+ * optimal with bypass) of one trace at each cache size, one pool task
+ * per size. It owns everything a leg needs besides the replay itself:
+ * the sweep fault hook, capturing a failure as a FailedLeg, the leg's
+ * metrics slot, and progress. The ReplayEngine only picks the leg
+ * body:
  *
- *  - model state lives in struct-of-arrays lanes (flat tag, next-use,
- *    and sticky arrays indexed by set; a zero-page bitmap for hit-last
- *    bits) with sentinel tags instead of validity sidecars;
- *  - each model advances through its policy's shared per-line step
- *    (directMappedStep, exclusionStep, optimalStep), the same
- *    functions the object models call, with per-arc event tallies;
- *  - statistics are derived from the event tallies once per pass
- *    instead of six counter adds per reference per model;
- *  - the run-boundary lane shared by the last-line models is
- *    precomputed per chunk, with an AVX2 path behind runtime dispatch
- *    (scalar fallback bit-identical).
+ *  - Kernel streams the trace in chunks through all three models of
+ *    the leg at once. Model state lives in struct-of-arrays lanes
+ *    (flat tag, next-use and sticky arrays indexed by set; a
+ *    zero-page bitmap for hit-last bits), each model advances through
+ *    its policy's shared per-line step (directMappedStep,
+ *    exclusionStep, optimalStep) with per-arc tallies, and the
+ *    statistics are derived from the tallies once per leg. The
+ *    run-boundary lane the last-line models share is precomputed per
+ *    chunk, with an AVX2 path behind runtime dispatch (scalar
+ *    fallback bit-identical).
+ *  - PerLeg runs runTriad through the object models, the reference
+ *    oracle for the kernel.
  *
- * A leg owns its lanes and tallies and only reads the shared packed
- * view and next-use index, so results are bit-identical to the per-leg
- * object models, which stay as the reference oracle: same CacheStats,
- * same FSM event counts, at any worker count.
+ * A leg owns its lanes (or models) and tallies and only reads the
+ * shared trace and next-use index, so both bodies give the same
+ * CacheStats and FSM event counts at any worker count.
  */
 
 #ifndef DYNEX_SIM_KERNEL_H
@@ -45,14 +45,14 @@
 namespace dynex
 {
 
-/** Which replay strategy a sweep uses. */
+/** Which leg body replayTriads runs. */
 enum class ReplayEngine : std::uint8_t
 {
-    /** The SoA kernel: one trace pass per size feeds all three models,
-     * one pool task per size. The default. */
+    /** The SoA kernel: one trace pass per size feeds all three
+     * models. The default. */
     Kernel,
-    /** One trace pass per leg through the object models; kept as the
-     * reference for equivalence and determinism checks. */
+    /** runTriad through the object models; kept as the reference for
+     * equivalence and determinism checks. */
     PerLeg,
 };
 
@@ -85,22 +85,29 @@ inline constexpr std::size_t kKernelChunkRefs = 4096;
 
 } // namespace detail
 
-/** One failed size leg of a kernel pass. */
-struct TriadLegFailure
+/**
+ * One failed leg of a fault-tolerant sweep. sizeBytes == 0 means the
+ * whole benchmark failed (trace load / index build / setup), so every
+ * size of that benchmark is invalid.
+ */
+struct FailedLeg
 {
-    std::size_t sizeIndex = 0;
+    std::string bench;
+    std::uint64_t sizeBytes = 0;
+    /** Which model(s) the failure covers; "triad" = all three. */
+    std::string model = "triad";
     Status status;
+
+    std::string toString() const;
 };
 
-/** The result of a fault-tolerant kernel pass: per-size triads plus a
- * validity mask and the statuses of any legs that failed. */
-struct TriadPassOutcome
+/** The legs of one replayTriads call: triads[s] is meaningful iff
+ * ok[s]; failures are ordered by size. */
+struct TriadLegs
 {
-    /** triads[s] is meaningful iff ok[s]. */
     std::vector<TriadResult> triads;
     std::vector<std::uint8_t> ok;
-    /** Sorted by sizeIndex. */
-    std::vector<TriadLegFailure> failures;
+    std::vector<FailedLeg> failures;
 
     bool allOk() const { return failures.empty(); }
 };
@@ -142,33 +149,32 @@ void setKernelForceScalar(bool force);
 bool kernelForceScalar();
 
 /**
- * Replay all |sizes| x {conventional, dynamic-exclusion, optimal} legs
- * through the SoA lanes: one pass over @p trace per size, each size a
- * task on the global pool (nested under any loop the caller runs
- * there). A leg whose
- * setup throws (or an injected fault via the sweep fault hook) is
- * recorded as a TriadLegFailure and skipped; surviving legs complete
- * with results bit-identical to an unfaulted run, and triads[s] is
- * bit-identical to runTriad(trace, index, sizes[s], line_bytes,
- * de_config).
+ * The leg driver: replay the triad of @p trace at every one of
+ * @p sizes, each size a task on the global pool (nested under any loop
+ * the caller runs there). @p engine picks the leg body; everything
+ * else is shared:
+ *
+ *  - the sweep fault hook runs before each leg, with @p bench as the
+ *    label (empty means trace.name());
+ *  - a leg that throws (including an injected fault) is recorded as a
+ *    FailedLeg, and the surviving legs complete bit-identical to an
+ *    unfaulted run;
+ *  - each successful leg fills its registered metrics slot (results,
+ *    replayNs, and the kernel's per-model split) and advances the
+ *    progress bar by the trace length.
+ *
+ * Under either engine triads[s] is bit-identical to runTriad(trace,
+ * index, sizes[s], line_bytes, config) at any worker count.
  *
  * @param index a RunStart next-use oracle for @p trace at
  *        @p line_bytes granularity, shared by every optimal leg.
- * @param bench the benchmark label passed to the sweep fault hook;
- *        empty means "use trace.name()".
  */
-TriadPassOutcome replayTriadKernelChecked(
-    const Trace &trace, const NextUseIndex &index,
-    const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
-    const DynamicExclusionConfig &de_config = {},
-    const std::string &bench = {});
-
-/** replayTriadKernelChecked, throwing the first failed leg's Status
- * as a StatusError; result[s] is the triad at sizes[s]. */
-std::vector<TriadResult> replayTriadKernel(
-    const Trace &trace, const NextUseIndex &index,
-    const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
-    const DynamicExclusionConfig &de_config = {});
+TriadLegs replayTriads(const Trace &trace, const NextUseIndex &index,
+                       const std::vector<std::uint64_t> &sizes,
+                       std::uint32_t line_bytes,
+                       const DynamicExclusionConfig &config = {},
+                       const std::string &bench = {},
+                       ReplayEngine engine = ReplayEngine::Kernel);
 
 } // namespace dynex
 

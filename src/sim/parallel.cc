@@ -2,27 +2,15 @@
 
 #include <memory>
 #include <optional>
-#include <sstream>
 
 #include "sim/kernel.h"
 #include "sim/obs_hooks.h"
 #include "sim/workloads.h"
 #include "trace/next_use.h"
-#include "util/string_utils.h"
 #include "util/thread_pool.h"
 
 namespace dynex
 {
-
-std::string
-FailedLeg::toString() const
-{
-    std::ostringstream oss;
-    oss << bench << " @ "
-        << (sizeBytes ? formatSize(sizeBytes) : std::string("all"))
-        << " [" << model << "]: " << status.toString();
-    return oss.str();
-}
 
 std::shared_ptr<const Trace>
 loadStream(const std::string &name, Count refs, StreamKind stream)
@@ -93,42 +81,19 @@ sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
                 index_timer.finish(bench);
             } catch (...) {
                 per_bench[b].push_back(
-                    {bench, 0, "triad",
-                     statusFromException(std::current_exception())});
+                    {.bench = bench,
+                     .status = statusFromException(
+                         std::current_exception())});
                 return;
             }
-            if (engine == ReplayEngine::Kernel) {
-                // One kernel task per size, nested under the
-                // benchmark fan-out above, where the legs fill the
-                // pool's tail.
-                auto pass = replayTriadKernelChecked(
-                    *trace, *index, sizes, line_bytes, config, bench);
-                outcome.grid[b] = std::move(pass.triads);
-                outcome.ok[b] = std::move(pass.ok);
-                for (auto &failure : pass.failures)
-                    per_bench[b].push_back(
-                        {bench, sizes[failure.sizeIndex], "triad",
-                         std::move(failure.status)});
-                return;
-            }
-            std::vector<Status> leg_status(sizes.size());
-            simParallelFor(sizes.size(), [&](std::size_t s) {
-                try {
-                    if (const auto &hook = sweepFaultHook())
-                        hook(bench, sizes[s]);
-                    outcome.grid[b][s] = simobs::runTriadLeg(
-                        *trace, *index, bench, sizes[s], line_bytes,
-                        config);
-                    outcome.ok[b][s] = 1;
-                } catch (...) {
-                    leg_status[s] = statusFromException(
-                        std::current_exception());
-                }
-            });
-            for (std::size_t s = 0; s < sizes.size(); ++s)
-                if (!outcome.ok[b][s])
-                    per_bench[b].push_back({bench, sizes[s], "triad",
-                                            leg_status[s]});
+            // The sizes fan out beneath the benchmark fan-out above,
+            // where the legs fill the pool's tail.
+            TriadLegs legs = replayTriads(*trace, *index, sizes,
+                                          line_bytes, config, bench,
+                                          engine);
+            outcome.grid[b] = std::move(legs.triads);
+            outcome.ok[b] = std::move(legs.ok);
+            per_bench[b] = std::move(legs.failures);
         });
 
     // A failure that escaped the per-leg capture (e.g. an allocation
@@ -136,29 +101,15 @@ sweepSuiteTriadsChecked(const std::vector<std::string> &benchmark_names,
     for (const auto &e : escaped) {
         outcome.ok[e.index].assign(sizes.size(), 0);
         per_bench[e.index].clear();
-        per_bench[e.index].push_back({benchmark_names[e.index], 0,
-                                      "triad",
-                                      statusFromException(e.error)});
+        per_bench[e.index].push_back(
+            {.bench = benchmark_names[e.index],
+             .status = statusFromException(e.error)});
     }
 
     for (auto &failures : per_bench)
         for (auto &failure : failures)
             outcome.failures.push_back(std::move(failure));
     return outcome;
-}
-
-std::vector<std::vector<TriadResult>>
-sweepSuiteTriads(const std::vector<std::string> &benchmark_names,
-                 Count refs, const std::vector<std::uint64_t> &sizes,
-                 std::uint32_t line_bytes,
-                 const DynamicExclusionConfig &config, StreamKind stream,
-                 ReplayEngine engine)
-{
-    SuiteSweepOutcome outcome = sweepSuiteTriadsChecked(
-        benchmark_names, refs, sizes, line_bytes, config, stream,
-        engine);
-    throwFirstFailure(outcome);
-    return std::move(outcome.grid);
 }
 
 std::vector<std::vector<TriadResult>>
@@ -176,33 +127,20 @@ sweepSuiteLineTriads(const std::vector<std::string> &benchmark_names,
             bench_span.emplace("bench", "bench " + bench);
         const auto trace =
             loadStream(bench, refs, StreamKind::Instructions);
-        auto &row = grid[b];
-        row.resize(lines.size());
-        if (engine == ReplayEngine::Kernel) {
-            // Serial over line sizes so every index build of this
-            // benchmark reuses one scratch table; each line point's
-            // three models replay in a single trace pass.
-            NextUseScratch scratch;
-            const std::vector<std::uint64_t> one_size = {size_bytes};
-            for (std::size_t l = 0; l < lines.size(); ++l) {
-                simobs::IndexBuildTimer index_timer;
-                const NextUseIndex index(*trace, lines[l],
-                                         NextUseMode::RunStart,
-                                         &scratch);
-                index_timer.finish(bench);
-                row[l] = replayTriadKernel(*trace, index, one_size,
-                                           lines[l], config)[0];
-            }
-            return;
-        }
-        simParallelFor(lines.size(), [&](std::size_t l) {
+        // Serial over line sizes so every index build of this
+        // benchmark reuses one scratch table.
+        NextUseScratch scratch;
+        grid[b].resize(lines.size());
+        for (std::size_t l = 0; l < lines.size(); ++l) {
             simobs::IndexBuildTimer index_timer;
             const NextUseIndex index(*trace, lines[l],
-                                     NextUseMode::RunStart);
+                                     NextUseMode::RunStart, &scratch);
             index_timer.finish(bench);
-            row[l] = runTriad(*trace, index, size_bytes, lines[l],
-                              config);
-        });
+            TriadLegs legs = replayTriads(*trace, index, {size_bytes},
+                                          lines[l], config, bench, engine);
+            throwFirstFailure(legs);
+            grid[b][l] = legs.triads[0];
+        }
     });
     return grid;
 }

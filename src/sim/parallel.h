@@ -29,22 +29,6 @@ namespace dynex
 {
 
 /**
- * One failed leg of a fault-tolerant sweep. sizeBytes == 0 means the
- * whole benchmark failed (trace load / index build / setup), so every
- * size of that benchmark is invalid.
- */
-struct FailedLeg
-{
-    std::string bench;
-    std::uint64_t sizeBytes = 0;
-    /** Which model(s) the failure covers; "triad" = all three. */
-    std::string model = "triad";
-    Status status;
-
-    std::string toString() const;
-};
-
-/**
  * A fault-tolerant suite sweep's result: the triad grid plus a
  * validity mask and the recorded failures. grid[b][s] is meaningful
  * iff ok[b][s]; failures are ordered benchmark-major then by size, so
@@ -75,13 +59,12 @@ void simParallelFor(std::size_t n,
  * The full triad grid of a suite sweep: grid[b][s] is the triad of
  * benchmark_names[b] at sizes[s]. One trace and one RunStart next-use
  * index are built per benchmark (at @p line_bytes) and shared across
- * that benchmark's sizes. Benchmarks fan out across the pool, and
- * both engines fan a benchmark's sizes out beneath it: the kernel as
- * one task per size replaying all three models in one trace pass,
- * PerLeg as one runTriad per size. At most one trace + index per
- * in-flight benchmark is resident, so peak memory scales with the
- * worker count rather than the suite size. Both engines produce
- * bit-identical grids at any worker count.
+ * that benchmark's sizes. Benchmarks fan out across the pool, and each
+ * runs its sizes through replayTriads beneath it, whichever the
+ * engine. At most one trace + index per in-flight benchmark is
+ * resident, so peak memory scales with the worker count rather than
+ * the suite size. Both engines produce bit-identical grids at any
+ * worker count.
  *
  * Every failure — a throwing trace load, a failing leg, an injected
  * fault — is captured as a FailedLeg instead of propagating, and
@@ -97,22 +80,15 @@ SuiteSweepOutcome sweepSuiteTriadsChecked(
     const DynamicExclusionConfig &config, StreamKind stream,
     ReplayEngine engine = ReplayEngine::Kernel);
 
-/** sweepSuiteTriadsChecked's grid, throwing the first failed leg's
- * Status as a StatusError. */
-std::vector<std::vector<TriadResult>> sweepSuiteTriads(
-    const std::vector<std::string> &benchmark_names, Count refs,
-    const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
-    const DynamicExclusionConfig &config, StreamKind stream,
-    ReplayEngine engine = ReplayEngine::Kernel);
-
 /**
  * The line-size counterpart: result[b][l] is the triad of
  * benchmark_names[b] at lines[l] with fixed @p size_bytes. A fresh
  * RunStart index is built per (benchmark, line size), since next-use
- * equivalence depends on block granularity; the kernel walks a
- * benchmark's line sizes serially so the index builds can share one
- * scratch table, and replays each line point's three models in one
- * trace pass.
+ * equivalence depends on block granularity. Each benchmark walks its
+ * line sizes serially, so the index builds share one scratch table,
+ * and runs each line point through replayTriads with the benchmark as
+ * the leg label. A failed leg (an injected fault included) is thrown
+ * as a StatusError.
  */
 std::vector<std::vector<TriadResult>> sweepSuiteLineTriads(
     const std::vector<std::string> &benchmark_names, Count refs,

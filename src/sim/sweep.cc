@@ -120,63 +120,59 @@ const
 namespace
 {
 
-/** The shared checked-sweep body; the caller owns the sweep span and
- * has already built (or fetched) the index. */
+/** The size-sweep view of @p legs: one point per size, with miss
+ * rates where the leg succeeded. */
 SizeSweepOutcome
-sweepSizesCheckedImpl(const Trace &trace, const NextUseIndex &index,
-                      const std::vector<std::uint64_t> &sizes,
-                      std::uint32_t line_bytes,
-                      const DynamicExclusionConfig &config,
-                      ReplayEngine engine)
+sizeSweepOf(const std::vector<std::uint64_t> &sizes, TriadLegs legs)
 {
-    DYNEX_ASSERT(index.blockSize() == line_bytes &&
-                     index.mode() == NextUseMode::RunStart,
-                 "sweepSizesChecked needs a RunStart index at line "
-                 "granularity");
     SizeSweepOutcome outcome;
     outcome.points.resize(sizes.size());
-    outcome.ok.assign(sizes.size(), 0);
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        outcome.points[s].sizeBytes = sizes[s];
-
-    auto fillPoint = [&](std::size_t s, const TriadResult &triad) {
-        outcome.points[s] = {sizes[s], triad.dmMissPct(),
-                             triad.deMissPct(), triad.optMissPct()};
-        outcome.ok[s] = 1;
-    };
-
-    if (engine == ReplayEngine::Kernel) {
-        auto pass = replayTriadKernelChecked(trace, index, sizes,
-                                             line_bytes, config);
-        for (std::size_t s = 0; s < sizes.size(); ++s)
-            if (pass.ok[s])
-                fillPoint(s, pass.triads[s]);
-        for (auto &failure : pass.failures)
-            outcome.failures.push_back({trace.name(),
-                                        sizes[failure.sizeIndex],
-                                        "triad",
-                                        std::move(failure.status)});
-        return outcome;
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
+        const TriadResult &triad = legs.triads[s];
+        outcome.points[s] =
+            legs.ok[s] ? SizeSweepPoint{sizes[s], triad.dmMissPct(),
+                                        triad.deMissPct(),
+                                        triad.optMissPct()}
+                       : SizeSweepPoint{sizes[s]};
     }
-
-    std::vector<Status> leg_status(sizes.size());
-    simParallelFor(sizes.size(), [&](std::size_t s) {
-        try {
-            if (const auto &hook = sweepFaultHook())
-                hook(trace.name(), sizes[s]);
-            fillPoint(s, simobs::runTriadLeg(trace, index,
-                                             trace.name(), sizes[s],
-                                             line_bytes, config));
-        } catch (...) {
-            leg_status[s] =
-                statusFromException(std::current_exception());
-        }
-    });
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        if (!outcome.ok[s])
-            outcome.failures.push_back(
-                {trace.name(), sizes[s], "triad", leg_status[s]});
+    outcome.ok = std::move(legs.ok);
+    outcome.failures = std::move(legs.failures);
     return outcome;
+}
+
+/**
+ * The suite mean of @p grid into @p points: each column sums the miss
+ * rates of the rows whose @p ok bit is set, in row (benchmark) order,
+ * then divides once by their count. One accumulation order at any
+ * thread count, so results are bit-identical; a column nobody
+ * contributed to stays zero. @return the contributors per column.
+ */
+template <typename Point>
+std::vector<Count>
+suiteMean(const std::vector<std::vector<TriadResult>> &grid,
+          const std::vector<std::vector<std::uint8_t>> &ok,
+          std::vector<Point> &points)
+{
+    std::vector<Count> contributors(points.size(), 0);
+    for (std::size_t b = 0; b < grid.size(); ++b) {
+        for (std::size_t c = 0; c < points.size(); ++c) {
+            if (!ok[b][c])
+                continue;
+            points[c].dmMissPct += grid[b][c].dmMissPct();
+            points[c].deMissPct += grid[b][c].deMissPct();
+            points[c].optMissPct += grid[b][c].optMissPct();
+            ++contributors[c];
+        }
+    }
+    for (std::size_t c = 0; c < points.size(); ++c) {
+        if (contributors[c] == 0)
+            continue;
+        const auto n = static_cast<double>(contributors[c]);
+        points[c].dmMissPct /= n;
+        points[c].deMissPct /= n;
+        points[c].optMissPct /= n;
+    }
+    return contributors;
 }
 
 } // namespace
@@ -203,18 +199,17 @@ sweepSizesChecked(const Trace &trace,
         const Status status =
             statusFromException(std::current_exception())
                 .withContext("next-use index");
-        SizeSweepOutcome outcome;
-        outcome.points.resize(sizes.size());
-        outcome.ok.assign(sizes.size(), 0);
-        for (std::size_t s = 0; s < sizes.size(); ++s) {
-            outcome.points[s].sizeBytes = sizes[s];
-            outcome.failures.push_back(
-                {trace.name(), sizes[s], "triad", status});
-        }
-        return outcome;
+        TriadLegs legs;
+        legs.triads.resize(sizes.size());
+        legs.ok.assign(sizes.size(), 0);
+        for (const std::uint64_t size : sizes)
+            legs.failures.push_back(
+                {.bench = trace.name(), .sizeBytes = size, .status = status});
+        return sizeSweepOf(sizes, std::move(legs));
     }
-    return sweepSizesCheckedImpl(trace, *index, sizes, line_bytes,
-                                 config, engine);
+    return sizeSweepOf(sizes, replayTriads(trace, *index, sizes,
+                                           line_bytes, config,
+                                           trace.name(), engine));
 }
 
 SizeSweepOutcome
@@ -227,19 +222,9 @@ sweepSizesChecked(const Trace &trace, const NextUseIndex &index,
     std::optional<obs::ScopedSpan> sweep_span;
     if (obs::Tracer::active())
         sweep_span.emplace("sweep", "sweep " + trace.name());
-    return sweepSizesCheckedImpl(trace, index, sizes, line_bytes,
-                                 config, engine);
-}
-
-std::vector<SizeSweepPoint>
-sweepSizes(const Trace &trace, const std::vector<std::uint64_t> &sizes,
-           std::uint32_t line_bytes, const DynamicExclusionConfig &config,
-           ReplayEngine engine)
-{
-    SizeSweepOutcome outcome =
-        sweepSizesChecked(trace, sizes, line_bytes, config, engine);
-    throwFirstFailure(outcome);
-    return std::move(outcome.points);
+    return sizeSweepOf(sizes, replayTriads(trace, index, sizes,
+                                           line_bytes, config,
+                                           trace.name(), engine));
 }
 
 std::vector<SizeSweepPoint>
@@ -267,8 +252,6 @@ sweepSuiteAverageChecked(const std::vector<std::string> &benchmark_names,
                  "choose one stream kind");
     SuiteAverageOutcome outcome;
     outcome.points.resize(sizes.size());
-    outcome.ok.assign(sizes.size(), 0);
-    outcome.contributors.assign(sizes.size(), 0);
     for (std::size_t s = 0; s < sizes.size(); ++s)
         outcome.points[s].sizeBytes = sizes[s];
 
@@ -279,31 +262,10 @@ sweepSuiteAverageChecked(const std::vector<std::string> &benchmark_names,
                                          line_bytes, config, stream,
                                          engine);
     outcome.failures = std::move(suite.failures);
-
-    // Serial reduction in benchmark order: the same floating-point
-    // accumulation order at any thread count, so results are
-    // bit-identical; a failed leg simply contributes nothing to its
-    // size.
-    for (std::size_t b = 0; b < suite.grid.size(); ++b) {
-        for (std::size_t s = 0; s < sizes.size(); ++s) {
-            if (!suite.ok[b][s])
-                continue;
-            outcome.points[s].dmMissPct += suite.grid[b][s].dmMissPct();
-            outcome.points[s].deMissPct += suite.grid[b][s].deMissPct();
-            outcome.points[s].optMissPct +=
-                suite.grid[b][s].optMissPct();
-            ++outcome.contributors[s];
-        }
-    }
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
-        if (outcome.contributors[s] == 0)
-            continue;
-        const auto n = static_cast<double>(outcome.contributors[s]);
-        outcome.points[s].dmMissPct /= n;
-        outcome.points[s].deMissPct /= n;
-        outcome.points[s].optMissPct /= n;
-        outcome.ok[s] = 1;
-    }
+    // A failed leg simply contributes nothing to its size.
+    outcome.contributors = suiteMean(suite.grid, suite.ok, outcome.points);
+    for (const Count contributors : outcome.contributors)
+        outcome.ok.push_back(contributors > 0);
     return outcome;
 }
 
@@ -335,19 +297,10 @@ sweepSuiteLineSizes(const std::vector<std::string> &benchmark_names,
     const auto grid = sweepSuiteLineTriads(benchmark_names, refs,
                                            size_bytes, lines, config,
                                            engine);
-    for (const auto &row : grid) {
-        for (std::size_t l = 0; l < lines.size(); ++l) {
-            average[l].dmMissPct += row[l].dmMissPct();
-            average[l].deMissPct += row[l].deMissPct();
-            average[l].optMissPct += row[l].optMissPct();
-        }
-    }
-    const auto n = static_cast<double>(benchmark_names.size());
-    for (auto &point : average) {
-        point.dmMissPct /= n;
-        point.deMissPct /= n;
-        point.optMissPct /= n;
-    }
+    // A failed leg throws, so every row contributes to every line.
+    const std::vector<std::vector<std::uint8_t>> all_ok(
+        grid.size(), std::vector<std::uint8_t>(lines.size(), 1));
+    suiteMean(grid, all_ok, average);
     return average;
 }
 

@@ -88,10 +88,10 @@ struct SizeSweepOutcome
 };
 
 /**
- * Run the three-way comparison over @p sizes on one trace. A single
- * RunStart next-use index at @p line_bytes is built once. The kernel
- * streams the trace once per size, for all three models, one pool task
- * per size; PerLeg replays per (size, model) leg. Both produce
+ * Run the three-way comparison over @p sizes on one trace: a single
+ * RunStart next-use index at @p line_bytes is built once, and
+ * replayTriads runs one leg per size on it, labelled trace.name(),
+ * with @p engine picking the leg body. Both engines produce
  * bit-identical results at any thread count.
  *
  * A failing leg (including one injected via the sweep fault hook) is
@@ -114,13 +114,6 @@ SizeSweepOutcome sweepSizesChecked(
     const Trace &trace, const NextUseIndex &index,
     const std::vector<std::uint64_t> &sizes, std::uint32_t line_bytes,
     const DynamicExclusionConfig &config = {},
-    ReplayEngine engine = ReplayEngine::Kernel);
-
-/** sweepSizesChecked, throwing the first failed leg's Status as a
- * StatusError. */
-std::vector<SizeSweepPoint> sweepSizes(
-    const Trace &trace, const std::vector<std::uint64_t> &sizes,
-    std::uint32_t line_bytes, const DynamicExclusionConfig &config = {},
     ReplayEngine engine = ReplayEngine::Kernel);
 
 /** The caller-supplied-index sweepSizesChecked, throwing the first
@@ -157,7 +150,8 @@ struct SuiteAverageOutcome
  * @param refs per-benchmark reference budget.
  * @param data_refs use the data stream instead of instruction fetches.
  * @param mixed_refs use the mixed I+D stream.
- * @param engine the kernel (one trace pass per size) or per-leg.
+ * @param engine the leg body replayTriads runs: the kernel or
+ *        per-leg.
  */
 SuiteAverageOutcome sweepSuiteAverageChecked(
     const std::vector<std::string> &benchmark_names, Count refs,
@@ -187,7 +181,10 @@ struct LineSweepPoint
     double optImprovementPct() const;
 };
 
-/** Suite-averaged line-size sweep at fixed @p size_bytes. */
+/** Suite-averaged line-size sweep at fixed @p size_bytes: the same
+ * benchmark-order mean as sweepSuiteAverageChecked over
+ * sweepSuiteLineTriads, whose first failed leg it throws as a
+ * StatusError. */
 std::vector<LineSweepPoint> sweepSuiteLineSizes(
     const std::vector<std::string> &benchmark_names, Count refs,
     std::uint64_t size_bytes, const std::vector<std::uint32_t> &lines,

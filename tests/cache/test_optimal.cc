@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cache/optimal.h"
+#include "sim/kernel.h"
 #include "trace/next_use.h"
 #include "util/rng.h"
 #include "../test_helpers.h"
@@ -155,6 +156,22 @@ TEST_P(OptimalRandomTest, MatchesBruteForceOnRandomSingleSetTraces)
     const Trace trace = traceFromBlocks(blocks, 64);
     BruteForce brute(blocks);
     EXPECT_EQ(optimalMisses(trace, 64), brute.solve());
+
+    // The replay kernel's optimal lane on the same trace with repeats
+    // collapsed: with no two consecutive references to one block, its
+    // last-line register never serves a hit, and the run-start oracle
+    // is the per-reference one.
+    std::vector<int> runs;
+    for (const int block : blocks)
+        if (runs.empty() || runs.back() != block)
+            runs.push_back(block);
+    const Trace run_trace = traceFromBlocks(runs, 64);
+    const NextUseIndex index(run_trace, kLine, NextUseMode::RunStart);
+    const TriadLegs legs = replayTriads(run_trace, index, {64}, kLine, {},
+                                        {}, ReplayEngine::Kernel);
+    ASSERT_TRUE(legs.allOk());
+    EXPECT_EQ(legs.triads[0].opt.misses,
+              static_cast<std::uint64_t>(BruteForce(runs).solve()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptimalRandomTest,

@@ -68,7 +68,7 @@ TEST_P(TraceProperty, OptimalLowerBoundsEveryDirectMappedPolicy)
     // register over a RunStart oracle.
     const NextUseIndex runs(trace, 4, NextUseMode::RunStart);
     const std::vector<std::uint64_t> sizes = {64, 256, 1024, 4096};
-    const auto legs = replayTriadKernel(trace, runs, sizes, 4);
+    const auto legs = replayTriads(trace, runs, sizes, 4).triads;
     for (std::size_t s = 0; s < sizes.size(); ++s) {
         EXPECT_LE(legs[s].opt.misses, legs[s].dm.misses) << sizes[s];
         EXPECT_LE(legs[s].opt.misses, legs[s].de.misses) << sizes[s];
@@ -125,7 +125,7 @@ TEST_P(TraceProperty, StatsAreInternallyConsistent)
         DynamicExclusionConfig config;
         config.useLastLine = line > 4;
         const auto legs =
-            replayTriadKernel(trace, runs, sizes, line, config);
+            replayTriads(trace, runs, sizes, line, config).triads;
         for (std::size_t s = 0; s < sizes.size(); ++s) {
             const std::string label = "kernel line " +
                                       std::to_string(line) + " size " +

@@ -243,8 +243,10 @@ TEST(FsmEventCounts, KernelMatchesTheFigure1Reference)
                         config.stickyMax = sticky_max;
                         config.useLastLine = last_line;
                         config.initialHitLast = initial;
-                        const TriadResult kernel = replayTriadKernel(
-                            trace, index, {size}, line, config)[0];
+                        const TriadResult kernel =
+                            replayTriads(trace, index, {size}, line,
+                                         config)
+                                .triads[0];
                         const ReferenceRun ref = figure1Reference(
                             trace, sticky_max, last_line, initial);
                         const std::string label =

@@ -13,6 +13,7 @@
 
 #include "sim/parallel.h"
 #include "sim/sweep.h"
+#include "trace/next_use.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -71,7 +72,8 @@ expectSizeSweepSurvivesLegFault(ReplayEngine engine, unsigned threads)
     const Trace trace = conflictTrace();
 
     setSweepFaultHook({});
-    const auto clean = sweepSizes(trace, kSizes, 4, {}, engine);
+    const auto clean = sweepSizesChecked(trace, kSizes, 4, {}, engine);
+    ASSERT_TRUE(clean.allOk());
 
     injectLegFault(trace.name(), kFaultSize);
     const auto faulted = sweepSizesChecked(trace, kSizes, 4, {}, engine);
@@ -93,9 +95,12 @@ expectSizeSweepSurvivesLegFault(ReplayEngine engine, unsigned threads)
         }
         ASSERT_TRUE(faulted.ok[s]) << "size " << kSizes[s];
         // Bit-identical to the unfaulted sweep, not approximately so.
-        EXPECT_EQ(faulted.points[s].dmMissPct, clean[s].dmMissPct);
-        EXPECT_EQ(faulted.points[s].deMissPct, clean[s].deMissPct);
-        EXPECT_EQ(faulted.points[s].optMissPct, clean[s].optMissPct);
+        EXPECT_EQ(faulted.points[s].dmMissPct,
+                  clean.points[s].dmMissPct);
+        EXPECT_EQ(faulted.points[s].deMissPct,
+                  clean.points[s].deMissPct);
+        EXPECT_EQ(faulted.points[s].optMissPct,
+                  clean.points[s].optMissPct);
     }
 }
 
@@ -115,9 +120,10 @@ TEST(SweepFaults, CheckedSweepWithoutFaultsMatchesUnchecked)
     FaultHookGuard hook;
     setSweepFaultHook({});
     const Trace trace = conflictTrace();
+    const NextUseIndex index(trace, 4, NextUseMode::RunStart);
     for (const ReplayEngine engine :
          {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
-        const auto clean = sweepSizes(trace, kSizes, 4, {}, engine);
+        const auto clean = sweepSizes(trace, index, kSizes, 4, {}, engine);
         const auto checked =
             sweepSizesChecked(trace, kSizes, 4, {}, engine);
         EXPECT_TRUE(checked.allOk());
@@ -141,8 +147,10 @@ TEST(SweepFaults, SuiteSweepSurvivesOneFailingLeg)
 
     setSweepFaultHook({});
     ThreadPool::setConfiguredWorkers(1);
-    const auto clean = sweepSuiteTriads(names, 30000, sizes, 4, {},
-                                        StreamKind::Instructions);
+    const auto clean =
+        sweepSuiteTriadsChecked(names, 30000, sizes, 4, {},
+                                StreamKind::Instructions)
+            .grid;
 
     for (const ReplayEngine engine :
          {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
@@ -188,8 +196,10 @@ TEST(SweepFaults, WholeBenchmarkFailureVoidsOnlyThatRow)
 
     setSweepFaultHook({});
     ThreadPool::setConfiguredWorkers(2);
-    const auto clean = sweepSuiteTriads(names, 20000, sizes, 4, {},
-                                        StreamKind::Instructions);
+    const auto clean =
+        sweepSuiteTriadsChecked(names, 20000, sizes, 4, {},
+                                StreamKind::Instructions)
+            .grid;
 
     // size_bytes == 0 is the per-benchmark setup probe.
     injectLegFault("tomcatv", 0);
@@ -229,10 +239,45 @@ TEST(SweepFaults, SuiteAverageSkipsFailedContributors)
     // The surviving-benchmark average at the faulted size must equal
     // tomcatv's own miss rates.
     setSweepFaultHook({});
-    const auto grid = sweepSuiteTriads({"tomcatv"}, 20000, sizes, 4, {},
-                                       StreamKind::Instructions);
+    const auto tomcatv = sweepSuiteTriadsChecked(
+        {"tomcatv"}, 20000, sizes, 4, {}, StreamKind::Instructions);
+    ASSERT_TRUE(tomcatv.allOk());
+    const auto &grid = tomcatv.grid;
     EXPECT_EQ(outcome.points[0].dmMissPct, grid[0][0].dmMissPct());
     EXPECT_EQ(outcome.points[0].deMissPct, grid[0][0].deMissPct());
+}
+
+TEST(SweepFaults, LineSweepThrowsTheSameFaultUnderBothEngines)
+{
+    ThreadCountGuard threads;
+    FaultHookGuard hook;
+    const std::vector<std::string> names = {"mat300", "tomcatv"};
+    const std::uint64_t size = 16 * 1024;
+    for (const ReplayEngine engine :
+         {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
+        for (const unsigned workers : {1u, 2u, 8u}) {
+            SCOPED_TRACE(std::string("engine=") +
+                         replayEngineName(engine) +
+                         " workers=" + std::to_string(workers));
+            ThreadPool::setConfiguredWorkers(workers);
+            // The line sweep's legs carry the benchmark as their label
+            // under both engines, so one (bench, size) hook reaches
+            // them.
+            injectLegFault("tomcatv", size);
+            try {
+                sweepSuiteLineSizes(names, 20000, size, {4, 16}, {},
+                                    engine);
+                ADD_FAILURE() << "the injected fault was not thrown";
+            } catch (const StatusError &error) {
+                EXPECT_EQ(error.status().code(), StatusCode::Internal);
+                EXPECT_EQ(error.status().message(), "injected fault");
+            }
+            // A hook for another size leaves the sweep untouched.
+            injectLegFault("tomcatv", 2 * size);
+            EXPECT_NO_THROW(sweepSuiteLineSizes(names, 20000, size,
+                                                {4, 16}, {}, engine));
+        }
+    }
 }
 
 TEST(FailedLegFormatting, ToStringNamesBenchSizeAndStatus)

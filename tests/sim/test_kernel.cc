@@ -71,6 +71,29 @@ expectMatchesPerLeg(const std::vector<TriadResult> &kernel,
                       label + " size " + std::to_string(sizes[s]));
 }
 
+/** The kernel's triad at every size, failing the test on a failed
+ * leg. */
+std::vector<TriadResult>
+kernelTriads(const Trace &trace, const NextUseIndex &index,
+             const std::vector<std::uint64_t> &sizes, std::uint32_t line,
+             const DynamicExclusionConfig &config = {})
+{
+    TriadLegs legs = replayTriads(trace, index, sizes, line, config);
+    EXPECT_TRUE(legs.allOk());
+    return std::move(legs.triads);
+}
+
+/** A size sweep's points, failing the test on a failed leg. */
+std::vector<SizeSweepPoint>
+sweepPoints(const Trace &trace, const std::vector<std::uint64_t> &sizes,
+            ReplayEngine engine)
+{
+    SizeSweepOutcome outcome =
+        sweepSizesChecked(trace, sizes, 4, {}, engine);
+    EXPECT_TRUE(outcome.allOk());
+    return std::move(outcome.points);
+}
+
 /** A conflict-heavy loopy trace with a pseudo-random data sprinkle. */
 Trace
 kernelTrace(std::size_t refs, std::uint64_t seed = 0x8a7c3)
@@ -99,7 +122,7 @@ TEST(KernelReplay, MatchesPerLegAtEverySizeAndLine)
         DynamicExclusionConfig config;
         config.useLastLine = line > 4;
         expectMatchesPerLeg(
-            replayTriadKernel(trace, index, sizes, line, config), trace,
+            kernelTriads(trace, index, sizes, line, config), trace,
             index, sizes, line, config, "line " + std::to_string(line));
     }
 }
@@ -115,7 +138,7 @@ TEST(KernelReplay, MatchesPerLegWithNonDefaultDeConfig)
     config.useLastLine = true;
     config.initialHitLast = true;
     expectMatchesPerLeg(
-        replayTriadKernel(trace, index, sizes, line, config), trace,
+        kernelTriads(trace, index, sizes, line, config), trace,
         index, sizes, line, config, "sticky3");
 }
 
@@ -214,8 +237,8 @@ TEST(KernelReplay, SparseBlocksFallBackToTheIdealStore)
         ThreadPool::global().parallelFor(cases.size(), [&](std::size_t c) {
             const NextUseIndex index(cases[c].trace, cases[c].line,
                                      NextUseMode::RunStart);
-            kernel[c] = replayTriadKernel(cases[c].trace, index, sizes,
-                                          cases[c].line, cases[c].config);
+            kernel[c] = kernelTriads(cases[c].trace, index, sizes,
+                                     cases[c].line, cases[c].config);
         });
         for (std::size_t c = 0; c < cases.size(); ++c) {
             const NextUseIndex index(cases[c].trace, cases[c].line,
@@ -240,13 +263,13 @@ TEST(KernelReplay, ScalarDispatchIsBitIdenticalToTheNaturalIsa)
     setKernelForceScalar(false);
     const KernelIsa natural = kernelDispatchIsa();
     const auto fast =
-        replayTriadKernel(trace, index, sizes, line, config);
+        kernelTriads(trace, index, sizes, line, config);
 
     setKernelForceScalar(true);
     EXPECT_TRUE(kernelForceScalar());
     EXPECT_EQ(kernelDispatchIsa(), KernelIsa::Scalar);
     const auto scalar =
-        replayTriadKernel(trace, index, sizes, line, config);
+        kernelTriads(trace, index, sizes, line, config);
 
     // On AVX2 hardware this compares the two code paths; elsewhere it
     // still proves the forced-scalar path is the dispatched one, so a
@@ -264,12 +287,12 @@ TEST(KernelReplay, SweepSizesKernelIdenticalAcrossWorkerCounts)
     const std::vector<std::uint64_t> sizes = {256, 1024, 4096};
     ThreadPool::setConfiguredWorkers(1);
     const auto reference =
-        sweepSizes(trace, sizes, 4, {}, ReplayEngine::PerLeg);
+        sweepPoints(trace, sizes, ReplayEngine::PerLeg);
     for (const unsigned threads : {1u, 2u, 8u}) {
         ThreadPool::setConfiguredWorkers(threads);
         for (const ReplayEngine engine :
              {ReplayEngine::Kernel, ReplayEngine::PerLeg}) {
-            const auto points = sweepSizes(trace, sizes, 4, {}, engine);
+            const auto points = sweepPoints(trace, sizes, engine);
             ASSERT_EQ(points.size(), reference.size());
             for (std::size_t s = 0; s < points.size(); ++s) {
                 EXPECT_EQ(points[s].dmMissPct, reference[s].dmMissPct)
@@ -363,14 +386,13 @@ TEST(KernelReplay, CheckedKernelIsolatesInjectedFaults)
         if (size == 1024)
             throw StatusError(Status::internal("injected"));
     });
-    const auto checked =
-        replayTriadKernelChecked(trace, index, sizes, line);
+    const auto checked = replayTriads(trace, index, sizes, line);
     setSweepFaultHook({});
 
     ASSERT_EQ(checked.failures.size(), 1u);
-    EXPECT_EQ(checked.failures[0].sizeIndex, 1u);
+    EXPECT_EQ(checked.failures[0].sizeBytes, 1024u);
     EXPECT_FALSE(checked.ok[1]);
-    const auto clean = replayTriadKernel(trace, index, sizes, line);
+    const auto clean = kernelTriads(trace, index, sizes, line);
     expectTriadEq(checked.triads[0], clean[0], "surviving leg 0");
     expectTriadEq(checked.triads[2], clean[2], "surviving leg 2");
 }
@@ -379,7 +401,7 @@ TEST(KernelReplay, EmptyTraceYieldsZeroedStats)
 {
     Trace trace("empty");
     const NextUseIndex index(trace, 4, NextUseMode::RunStart);
-    const auto triads = replayTriadKernel(trace, index, {256, 1024}, 4);
+    const auto triads = kernelTriads(trace, index, {256, 1024}, 4);
     ASSERT_EQ(triads.size(), 2u);
     for (const auto &triad : triads) {
         EXPECT_EQ(triad.dm.accesses, 0u);

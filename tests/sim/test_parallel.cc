@@ -43,7 +43,10 @@ std::vector<SizeSweepPoint>
 sweepAt(unsigned threads, const Trace &trace)
 {
     ThreadPool::setConfiguredWorkers(threads);
-    return sweepSizes(trace, {64, 128, 256, 1024, 4096}, 4);
+    SizeSweepOutcome outcome =
+        sweepSizesChecked(trace, {64, 128, 256, 1024, 4096}, 4);
+    EXPECT_TRUE(outcome.allOk());
+    return std::move(outcome.points);
 }
 
 TEST(ParallelSweep, SizeSweepBitIdenticalAcrossThreadCounts)
@@ -130,9 +133,10 @@ TEST(ParallelSweep, SuiteTriadGridHasInputShapeAndOrder)
     ThreadPool::setConfiguredWorkers(8);
     const std::vector<std::string> names = {"mat300", "tomcatv"};
     const std::vector<std::uint64_t> sizes = {1024, 32 * 1024};
-    const auto grid =
-        sweepSuiteTriads(names, 20000, sizes, 4, {},
-                         StreamKind::Instructions);
+    const auto suite = sweepSuiteTriadsChecked(
+        names, 20000, sizes, 4, {}, StreamKind::Instructions);
+    ASSERT_TRUE(suite.allOk());
+    const auto &grid = suite.grid;
     ASSERT_EQ(grid.size(), names.size());
     for (const auto &row : grid) {
         ASSERT_EQ(row.size(), sizes.size());

@@ -42,7 +42,8 @@ TEST(Sweep, MissRatesFallWithCacheSize)
         for (Addr a = 0; a < 24; ++a)
             trace.append(ifetch(0x1000 + 256 + 4 * a));
     }
-    const auto points = sweepSizes(trace, {64, 128, 256, 1024}, 4);
+    const auto points =
+        sweepSizesChecked(trace, {64, 128, 256, 1024}, 4).points;
     ASSERT_EQ(points.size(), 4u);
     for (std::size_t i = 1; i < points.size(); ++i) {
         EXPECT_LE(points[i].dmMissPct, points[i - 1].dmMissPct + 1e-9);
@@ -60,7 +61,7 @@ TEST(Sweep, OptimalBoundsTheOtherCurves)
         trace.append(ifetch(0x1000 + 64));
         trace.append(ifetch(0x1000 + 4));
     }
-    const auto points = sweepSizes(trace, {64, 128}, 4);
+    const auto points = sweepSizesChecked(trace, {64, 128}, 4).points;
     for (const auto &point : points) {
         EXPECT_LE(point.optMissPct, point.dmMissPct + 1e-9);
         EXPECT_LE(point.optMissPct, point.deMissPct + 1e-9);
